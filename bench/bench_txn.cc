@@ -61,7 +61,6 @@ namespace
 using Clock = std::chrono::steady_clock;
 using NativeTxnKv = txn::TxnKv<kernels::NativeEnv>;
 using SimTxnKv = txn::TxnKv<kernels::SimEnv>;
-using TxnOpE = NativeTxnKv::Op;
 
 /** One transfer of the deterministic workload tape. */
 struct Transfer
@@ -116,11 +115,10 @@ nowNsSince(Clock::time_point t0)
 }
 
 /** One transfer: debit src by amt (wrapping), credit dst. */
-template <typename Kv>
-std::vector<typename Kv::Op>
+std::vector<txn::TxnOp>
 transferOps(std::uint64_t src, std::uint64_t dst, std::uint64_t amt)
 {
-    using O = typename Kv::Op;
+    using O = txn::TxnOp;
     return {O{O::Kind::Add, src, ~amt + 1},
             O{O::Kind::Add, dst, amt}};
 }
@@ -183,8 +181,7 @@ runEmbedded(Backend b, std::uint64_t accounts, std::uint64_t txns,
         auto t = freshState(arena, env);
         const auto t0 = Clock::now();
         for (const Transfer &tr : tape)
-            (void)t->run(env,
-                         transferOps<NativeTxnKv>(tr.src, tr.dst, tr.amt));
+            (void)t->run(env, transferOps(tr.src, tr.dst, tr.amt));
         const double secs = double(nowNsSince(t0)) / 1e9;
         out.closedLoopTps =
             secs == 0.0 ? 0.0 : double(txns) / secs;
@@ -222,7 +219,7 @@ runEmbedded(Backend b, std::uint64_t accounts, std::uint64_t txns,
         // Transfers conserve the sum, so the verification below
         // still holds.
         for (std::uint64_t i = 0; i < warm; ++i)
-            (void)t->run(env, transferOps<NativeTxnKv>(tape[i].src, tape[i].dst,
+            (void)t->run(env, transferOps(tape[i].src, tape[i].dst,
                                           tape[i].amt));
         obs::Histogram lat;
         const auto t0 = Clock::now();
@@ -232,8 +229,7 @@ runEmbedded(Backend b, std::uint64_t accounts, std::uint64_t txns,
             while (nowNsSince(t0) < schedNs) {
             }  // spin: arrivals are scheduled, not self-paced
             const Transfer &tr = tape[i];
-            (void)t->run(env,
-                         transferOps<NativeTxnKv>(tr.src, tr.dst, tr.amt));
+            (void)t->run(env, transferOps(tr.src, tr.dst, tr.amt));
             const std::uint64_t done = nowNsSince(t0);
             lat.record(done > schedNs ? done - schedNs : 0);
         }
@@ -294,7 +290,7 @@ runSim(Backend b, std::uint64_t accounts, std::uint64_t txns,
     const double c0 = double(ctx.machine.execCycles());
     for (const Transfer &tr : tape) {
         const double a = double(ctx.machine.execCycles());
-        (void)t.run(env, transferOps<SimTxnKv>(tr.src, tr.dst, tr.amt));
+        (void)t.run(env, transferOps(tr.src, tr.dst, tr.amt));
         const double z = double(ctx.machine.execCycles());
         lat.record(std::uint64_t((z - a) * nsPerCycle));
     }

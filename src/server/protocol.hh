@@ -78,6 +78,8 @@
 #include <string>
 #include <vector>
 
+#include "txn/txn_op.hh"
+
 namespace lp::server
 {
 
@@ -121,12 +123,12 @@ inline constexpr std::size_t maxBatchOps = 4096;
 inline constexpr std::size_t maxScanRecords = 4096;
 
 /**
- * Largest accepted TXN op count. Matches txn::maxTxnWriteOps so any
- * wire transaction's write-set fits one PREPARE slot per shard; a
- * bigger multi-key update should be split (only single transactions
- * get cross-shard atomicity anyway).
+ * Largest accepted TXN op count: txn::maxTxnWriteOps, so any wire
+ * transaction's write-set fits one PREPARE slot per shard; a bigger
+ * multi-key update should be split (only single transactions get
+ * cross-shard atomicity anyway).
  */
-inline constexpr std::size_t maxTxnOps = 32;
+inline constexpr std::size_t maxTxnOps = txn::maxTxnWriteOps;
 
 /** One mutation inside a BATCH request. */
 struct BatchOp
@@ -143,27 +145,12 @@ struct ScanRecord
     std::uint64_t value;
 };
 
-/** One sub-op inside a TXN request. */
-struct TxnOp
-{
-    enum class Kind : std::uint8_t
-    {
-        Get = 1,
-        Put = 2,
-        Del = 3,
-        Add = 4,  ///< atomic delta (wrapping u64; absent key reads 0)
-    };
-    Kind kind = Kind::Get;
-    std::uint64_t key = 0;
-    std::uint64_t value = 0;  ///< Put: value; Add: delta; else unused
-};
+/** One sub-op inside a TXN request (its Kind values are the wire
+ *  sub-op bytes). */
+using TxnOp = txn::TxnOp;
 
 /** One get result inside a committed TXN response body. */
-struct TxnRead
-{
-    bool found = false;
-    std::uint64_t value = 0;
-};
+using TxnRead = txn::TxnRead;
 
 /** A decoded request. */
 struct Request

@@ -429,7 +429,7 @@ Server::Impl::acceptorMain()
                 acceptPending();
             } else if (ud == udWake) {
                 wakeFd.drain();
-                drainTxnEvents();
+                drainTxnVotes();
                 drainReplies();
             } else if (ud == udStop) {
                 stopFd.drain();
@@ -474,7 +474,7 @@ Server::Impl::shutdownSequence()
     // commit their final batches.
     const auto deadline = Clock::now() + std::chrono::seconds(10);
     for (;;) {
-        drainTxnEvents();
+        drainTxnVotes();
         drainReplies();
         const bool allOut =
             workersExited.load(std::memory_order_acquire) ==

@@ -6,7 +6,12 @@
  *   server.cc        -- lifecycle + the acceptor datapath (accept,
  *                       frame decode, reply flush) on lp::net
  *   server_worker.cc -- the shared-nothing shard worker loop
- *   server_txn.cc    -- the transaction coordinator + participant
+ *   server_txn.cc    -- the transaction coordinator (routing, vote
+ *                       collection, the decision append) and the
+ *                       worker-side glue -- parking, replies -- around
+ *                       each worker's txn::Participant
+ *                       (txn/participant.hh), which runs the
+ *                       protocol steps themselves
  *   server_stats.cc  -- STATS JSON and METRICS exposition rendering
  *
  * Not installed, not part of the public API: include server/server.hh
@@ -40,9 +45,7 @@
 #include "server/server.hh"
 #include "store/kv_store.hh"
 #include "txn/decision_log.hh"
-#include "txn/lock_table.hh"
-#include "txn/prepare_log.hh"
-#include "txn/recovery.hh"
+#include "txn/participant.hh"
 
 namespace lp::server
 {
@@ -124,64 +127,33 @@ struct ScanCtx
 };
 
 /**
- * One TXN request in flight. The acceptor is the coordinator: it
- * splits the wire ops into one Part per participant shard and fans a
- * Txn item out to each owning worker. Workers lock, resolve, and
- * vote (a TxnEvent back to the acceptor); once every part has voted
- * the acceptor either appends the COMMIT record -- the transaction's
- * linearization and durability point -- and fans out TxnApply, or
- * tells the prepared parts to roll back (TxnAbort).
+ * One TXN request in flight: the txn::TxnPlan (wire ops, read slots,
+ * one part per participant shard) plus the coordinator's state. The
+ * acceptor is the coordinator: it splits the plan and fans a Txn item
+ * out to each owning worker. Workers lock, resolve, and vote back
+ * to the acceptor; once every part has voted the acceptor either
+ * appends the COMMIT record -- the transaction's linearization and
+ * durability point -- and fans out TxnApply, or tells the prepared
+ * parts to roll back (TxnAbort).
  *
- * Field ownership: the acceptor writes the routing plan before
- * fan-out; each worker writes only its own Part and the read slots
- * its gets own. Every handoff rides a mutex (worker queues, the
- * TxnEvent queue), so no field needs to be atomic except the vote
- * counter and the abort flags, which workers race on.
+ * Field ownership: the acceptor writes the plan before fan-out; each
+ * worker writes only its own part and the read slots its gets own.
+ * Every handoff rides a mutex (worker queues, the vote queue), so
+ * no field needs to be atomic except the vote counter and the abort
+ * flags, which workers race on.
  */
-struct TxnCtx
+struct TxnCtx : txn::TxnPlan
 {
     std::uint64_t txnid = 0;
     std::uint64_t connId = 0;
     std::uint64_t reqId = 0;
     std::uint64_t tStartNs = 0;
     std::uint64_t traceId = 0;  ///< request flow id (obs::traceIdOf)
-    bool fastPath = false;  ///< single shard, batching backend
-
-    std::vector<TxnOp> ops;     ///< wire order
-    std::vector<int> readSlot;  ///< per op: index into reads, or -1
-    std::vector<TxnRead> reads; ///< one slot per get sub-op
-
-    /** One participant shard's slice of the transaction. */
-    struct Part
-    {
-        int shard = 0;
-        std::vector<std::uint32_t> ops;  ///< indices into ctx.ops
-        bool hasWrites = false;
-
-        /** Lock plan: distinct keys ascending, write if any mutation. */
-        std::vector<std::uint64_t> lockKeys;
-        std::vector<txn::LockMode> lockModes;
-
-        // Filled by the owning worker:
-        bool prepared = false;
-        std::size_t slot = 0;  ///< PREPARE slot (writes non-empty only)
-        std::vector<txn::WriteOp> writes;  ///< resolved write-set
-    };
-    std::vector<Part> parts;
+    bool fastPath = false;      ///< txn::fastPath() at routing
 
     std::atomic<int> votesLeft{0};
     std::atomic<int> abortedParts{0};
     std::atomic<bool> faulted{false};  ///< abort cause was quarantine
-};
-
-/** One participant's vote, traveling worker -> acceptor. */
-struct TxnEvent
-{
-    enum class Kind : std::uint8_t { Prepared, Aborted };
-
-    Kind kind;
-    std::size_t part;  ///< index into ctx->parts
-    std::shared_ptr<TxnCtx> ctx;
 };
 
 /** One operation handed from the acceptor to a worker. */
@@ -327,29 +299,21 @@ struct Server::Impl
         store::RecoveryReport report;
         bool attached = false;
 
-        // Cross-shard transaction state (docs/txn_design.md). All of
-        // it is worker-thread-only except txnReport, which start()
-        // reads after the txn-recovery latch.
-        std::unique_ptr<txn::PrepareLog<kernels::NativeEnv>> plog;
-        txn::LockTable lockTable;
+        // Cross-shard transaction state (docs/txn_design.md): this
+        // shard's side of the commit protocol -- lock table, PREPARE
+        // table, gated slot frees. All of it is worker-thread-only
+        // except txnReport, which start() reads after the
+        // txn-recovery latch.
+        std::unique_ptr<txn::Participant<kernels::NativeEnv>>
+            participant;
         txn::TxnRecoveryReport txnReport;
-
-        /**
-         * General-path parts on this shard between PREPARE and their
-         * apply/abort. While non-zero, scans over write-locked ranges
-         * and plain mutations of write-locked keys defer: the part's
-         * write-set is resolved but not yet visible, so reading
-         * around it would half-observe the transaction and writing
-         * under it would be clobbered by the apply.
-         */
-        int unappliedTxns = 0;
 
         /** A part parked on a lock-table Waiting verdict. */
         struct ParkedTxn
         {
             std::shared_ptr<TxnCtx> ctx;
             std::size_t part = 0;
-            std::size_t next = 0;  ///< lockKeys index being awaited
+            std::size_t next = 0;  ///< lock-plan index awaited
         };
         std::unordered_map<txn::TxnId, ParkedTxn> parked;
 
@@ -371,22 +335,11 @@ struct Server::Impl
          * prepared defers and runs post-apply. Decision fan-outs
          * (TxnApply/TxnAbort) bypass the queue: they are the
          * drain, and their transactions are strictly older than
-         * everything queued here.
+         * everything queued here. Which items may defer is
+         * deferrable(); when the front must wait is deferNow(),
+         * over the participant's scanMustWait/writeMustWait.
          */
         std::deque<OpItem> deferred;
-
-        /**
-         * Applied PREPARE slots awaiting their durability gate: a
-         * slot may be freed only once the shard's durable epoch
-         * covers the marker epoch, because the free store is itself
-         * lazy (see txn/prepare_log.hh).
-         */
-        struct SlotFree
-        {
-            std::size_t slot = 0;
-            std::uint64_t epoch = 0;
-        };
-        std::vector<SlotFree> slotFrees;
 
         /**
          * Reply payloads awaiting epoch commit. Runs in lockstep
@@ -400,10 +353,12 @@ struct Server::Impl
             std::uint64_t reqId;
             std::uint64_t epoch;
             std::uint64_t tStagedNs;  ///< commit-wait latency start
+            // Defaulted from here on, so designated initializers
+            // may leave them out.
             std::uint64_t traceId = 0;  ///< request flow id
-            std::shared_ptr<BatchCtx> batch;
-            std::shared_ptr<TxnCtx> txn;  ///< fast-path commit reply
-            std::string txnBody;          ///< encoded reads (with txn)
+            std::shared_ptr<BatchCtx> batch = nullptr;
+            std::shared_ptr<TxnCtx> txn = nullptr;  ///< fast-path reply
+            std::string txnBody = {};  ///< encoded reads (with txn)
         };
         std::deque<Pending> pending;
     };
@@ -472,7 +427,9 @@ struct Server::Impl
     /// handoff).
     /// @{
     std::mutex txnMu;
-    std::vector<TxnEvent> txnEvents;
+    /** One entry per participant vote; an aborting vote has bumped
+     *  ctx->abortedParts first. */
+    std::vector<std::shared_ptr<TxnCtx>> txnVotes;
 
     kernels::NativeEnv txnEnv;
     std::unique_ptr<pmem::PersistentArena> txnArena;
@@ -497,7 +454,6 @@ struct Server::Impl
     void openStore(Worker &w);
     void releaseAck(Worker &w, Worker::Pending &p);
     void releaseCommitted(Worker &w);
-    void sweepSlotFrees(Worker &w);
     static bool deferrable(OpItem::Kind k);
     bool deferNow(Worker &w, const OpItem &op) const;
     void dispatchOp(Worker &w, OpItem &op);
@@ -506,26 +462,23 @@ struct Server::Impl
     void workerMain(Worker &w);
     void enqueue(int shard, OpItem &&op);
 
-    // server_txn.cc -- coordinator + participant txn machinery.
-    void postTxnEvent(TxnEvent ev);
+    // server_txn.cc -- coordinator + worker-side txn glue.
+    void postTxnVote(std::shared_ptr<TxnCtx> ctx);
     void serviceLockEvents(Worker &w, txn::LockTable::Events ev);
-    void resumeParked(Worker &w, txn::TxnId id,
-                      txn::LockTable::Events &ev);
-    void abortParked(Worker &w, txn::TxnId id,
-                     txn::LockTable::Events &ev);
+    void unparkTxn(Worker &w, txn::TxnId id, bool granted,
+                   txn::LockTable::Events &ev);
     bool acquireTxnLocks(Worker &w,
                          const std::shared_ptr<TxnCtx> &ctx,
                          std::size_t partIdx, std::size_t next,
                          txn::LockTable::Events &ev);
     void abortTxnPart(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
-                      std::size_t partIdx, bool faulted);
+                      bool faulted);
     void prepareTxnPart(Worker &w,
                         const std::shared_ptr<TxnCtx> &ctx,
                         std::size_t partIdx);
-    void commitTxnFast(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
-                       TxnCtx::Part &part);
+    void replyFastTxn(Worker &w, const TxnCtx &ctx, std::string body);
     void routeTxn(Conn &c, Request &req);
-    void drainTxnEvents();
+    void drainTxnVotes();
     void finishTxn(const std::shared_ptr<TxnCtx> &ctx);
     void openTxnLog();
 

@@ -263,6 +263,8 @@ Server::Impl::metricsTextNow() const
         mt.histogramNs(promName(sn::recoverLatNs), lab,
                        ob.recoverNs);
         mt.histogramNs(promName(sn::scanLatNs), lab, ob.scanNs);
+        // Samples are record counts, not time: raw buckets.
+        mt.histogramRaw(promName(sn::scanLen), lab, ob.scanLen);
         mt.histogramNs(promName(sn::scrubLatNs), lab, ob.scrubNs);
         mt.histogramNs(promName(sn::reqQueueNs), lab, w.queueNs);
         mt.histogramNs(promName(sn::reqCommitWaitNs), lab,

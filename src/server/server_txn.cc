@@ -2,17 +2,13 @@
  * @file
  * Cross-shard transaction machinery (docs/txn_design.md): the
  * acceptor-side coordinator (routeTxn, vote collection, the
- * decision append) and the worker-side participant (lock
- * acquisition, prepare, fast-path commit).
+ * decision append) and the worker-side glue around each worker's
+ * txn::Participant (parking on lock waits, votes, replies).
  */
 
 #include "server/server_impl.hh"
 
 #include <sys/stat.h>
-
-#include <algorithm>
-#include <map>
-#include <optional>
 
 #include "base/logging.hh"
 
@@ -20,13 +16,13 @@ namespace lp::server
 {
 
 void
-Server::Impl::postTxnEvent(TxnEvent ev)
+Server::Impl::postTxnVote(std::shared_ptr<TxnCtx> ctx)
 {
     bool wasEmpty;
     {
         std::lock_guard<std::mutex> g(txnMu);
-        wasEmpty = txnEvents.empty();
-        txnEvents.push_back(std::move(ev));
+        wasEmpty = txnVotes.empty();
+        txnVotes.push_back(std::move(ctx));
     }
     // Empty->nonempty edge only, like postReply: one wake drains all.
     if (wasEmpty)
@@ -45,47 +41,35 @@ Server::Impl::serviceLockEvents(Worker &w, txn::LockTable::Events ev)
     while (!ev.granted.empty() || !ev.died.empty()) {
         txn::LockTable::Events next;
         for (const auto id : ev.died)
-            abortParked(w, id, next);
+            unparkTxn(w, id, false, next);
         for (const auto id : ev.granted)
-            resumeParked(w, id, next);
+            unparkTxn(w, id, true, next);
         ev = std::move(next);
     }
     retryDeferred(w);
 }
 
+/**
+ * Take @p id's parked part off the lock wait: on a grant, continue
+ * its lock plan past the awaited key; on a wait-die kill, drop the
+ * keys held before it (the table already removed the waiter entry)
+ * and abort.
+ */
 void
-Server::Impl::resumeParked(Worker &w, txn::TxnId id,
-                           txn::LockTable::Events &ev)
+Server::Impl::unparkTxn(Worker &w, txn::TxnId id, bool granted,
+                        txn::LockTable::Events &ev)
 {
     const auto it = w.parked.find(id);
     if (it == w.parked.end())
         return;
     const Worker::ParkedTxn pk = std::move(it->second);
     w.parked.erase(it);
-    // The awaited key (index pk.next) was just granted to us;
-    // continue the plan past it.
-    if (acquireTxnLocks(w, pk.ctx, pk.part, pk.next + 1, ev))
+    if (!granted) {
+        w.participant->release(id, pk.ctx->parts[pk.part], ev, pk.next);
+        abortTxnPart(w, pk.ctx, false);
+    } else if (acquireTxnLocks(w, pk.ctx, pk.part, pk.next + 1, ev)) {
         prepareTxnPart(w, pk.ctx, pk.part);
-}
-
-void
-Server::Impl::abortParked(Worker &w, txn::TxnId id,
-                          txn::LockTable::Events &ev)
-{
-    const auto it = w.parked.find(id);
-    if (it == w.parked.end())
-        return;
-    const Worker::ParkedTxn pk = std::move(it->second);
-    w.parked.erase(it);
-    const TxnCtx::Part &part = pk.ctx->parts[pk.part];
-    // Keys before the awaited index are held; drop them. (The
-    // lock table already removed the killed waiter entry.)
-    w.lockTable.releaseAll(
-        id,
-        {part.lockKeys.begin(),
-         part.lockKeys.begin() + std::ptrdiff_t(pk.next)},
-        ev);
-    abortTxnPart(w, pk.ctx, pk.part, false);
+    }
 }
 
 /**
@@ -99,28 +83,18 @@ Server::Impl::acquireTxnLocks(Worker &w,
                               std::size_t partIdx, std::size_t next,
                               txn::LockTable::Events &ev)
 {
-    const TxnCtx::Part &part = ctx->parts[partIdx];
-    for (; next < part.lockKeys.size(); ++next) {
-        const auto got =
-            w.lockTable.acquire(ctx->txnid, part.lockKeys[next],
-                                part.lockModes[next]);
-        if (got == txn::Acquire::Granted)
-            continue;
-        if (got == txn::Acquire::Waiting) {
-            w.parked[ctx->txnid] =
-                Worker::ParkedTxn{ctx, partIdx, next};
-            return false;
-        }
-        // Wait-die says die: drop what we hold and abort.
-        w.lockTable.releaseAll(
-            ctx->txnid,
-            {part.lockKeys.begin(),
-             part.lockKeys.begin() + std::ptrdiff_t(next)},
-            ev);
-        abortTxnPart(w, ctx, partIdx, false);
+    switch (w.participant->lock(ctx->txnid, ctx->parts[partIdx], next,
+                                ev)) {
+      case txn::Acquire::Granted:
+        return true;
+      case txn::Acquire::Waiting:
+        w.parked[ctx->txnid] = Worker::ParkedTxn{ctx, partIdx, next};
+        return false;
+      case txn::Acquire::Die:
+        abortTxnPart(w, ctx, false);
         return false;
     }
-    return true;
+    return false;
 }
 
 /** This part is out (locks already dropped): reply directly on
@@ -128,7 +102,7 @@ Server::Impl::acquireTxnLocks(Worker &w,
 void
 Server::Impl::abortTxnPart(Worker &w,
                            const std::shared_ptr<TxnCtx> &ctx,
-                           std::size_t partIdx, bool faulted)
+                           bool faulted)
 {
     if (faulted)
         ctx->faulted.store(true, std::memory_order_release);
@@ -142,167 +116,88 @@ Server::Impl::abortTxnPart(Worker &w,
         return;
     }
     ctx->abortedParts.fetch_add(1, std::memory_order_relaxed);
-    postTxnEvent(TxnEvent{TxnEvent::Kind::Aborted, partIdx, ctx});
+    postTxnVote(ctx);
 }
 
 /**
- * Locks held: resolve this part's ops in wire order against an
- * overlay (read-your-writes; Add deltas become concrete values;
- * last write per key wins, first-write order), fill the
- * transaction's read slots, then run the single-shard fast path
- * or publish the PREPARE vote.
+ * Locks held: resolve this part (filling the transaction's read
+ * slots), then publish the PREPARE vote -- or, on the fast path,
+ * stage the write-set as one epoch, with no prepare slot, no
+ * decision record, and no eager protocol flush (where LP's
+ * commit-latency win over WAL must survive). The fast path's reply
+ * and lock release both wait for that epoch's commit (releaseAck).
  */
 void
 Server::Impl::prepareTxnPart(Worker &w,
                              const std::shared_ptr<TxnCtx> &ctx,
                              std::size_t partIdx)
 {
-    TxnCtx::Part &part = ctx->parts[partIdx];
+    txn::TxnPart &part = ctx->parts[partIdx];
 
-    // Quarantine backstop on the owning thread (the acceptor's
-    // precheck can race with a scrub discovering corruption).
-    if (part.hasWrites && w.kv->quarantined(0)) {
+    const auto abortHeld = [&](bool faulted) {
         txn::LockTable::Events ev;
-        w.lockTable.releaseAll(ctx->txnid, part.lockKeys, ev);
-        abortTxnPart(w, ctx, partIdx, true);
+        w.participant->release(ctx->txnid, part, ev);
+        abortTxnPart(w, ctx, faulted);
         serviceLockEvents(w, std::move(ev));
+    };
+    w.participant->resolve(w.env, *ctx, part);
+    // Quarantine backstop on the owning thread (the acceptor's
+    // precheck can race with a scrub discovering corruption). A
+    // full PREPARE table aborts the same way, minus the fault.
+    if (!part.writes.empty() && w.kv->quarantined(0)) {
+        abortHeld(true);
         return;
     }
-
-    std::unordered_map<std::uint64_t,
-                       std::optional<std::uint64_t>>
-        overlay;
-    std::vector<std::uint64_t> writeOrder;
-    const auto current =
-        [&](std::uint64_t key) -> std::optional<std::uint64_t> {
-        const auto it = overlay.find(key);
-        if (it != overlay.end())
-            return it->second;
-        return w.kv->get(w.env, key);
-    };
-    const auto noteWrite = [&](std::uint64_t key) {
-        if (overlay.find(key) == overlay.end())
-            writeOrder.push_back(key);
-    };
-    for (const auto opIdx : part.ops) {
-        const TxnOp &op = ctx->ops[opIdx];
-        switch (op.kind) {
-          case TxnOp::Kind::Get: {
-            const auto v = current(op.key);
-            ctx->reads[std::size_t(ctx->readSlot[opIdx])] =
-                TxnRead{v.has_value(), v.value_or(0)};
-            break;
-          }
-          case TxnOp::Kind::Put:
-            noteWrite(op.key);
-            overlay[op.key] = op.value;
-            break;
-          case TxnOp::Kind::Del:
-            noteWrite(op.key);
-            overlay[op.key] = std::nullopt;
-            break;
-          case TxnOp::Kind::Add: {
-            const auto v = current(op.key);
-            noteWrite(op.key);
-            overlay[op.key] = v.value_or(0) + op.value;
-            break;
-          }
-        }
-    }
-    part.writes.clear();
-    for (const auto key : writeOrder) {
-        const auto &val = overlay[key];
-        part.writes.push_back(txn::WriteOp{key, val.value_or(0),
-                                           !val.has_value()});
-    }
-
-    if (ctx->fastPath) {
-        commitTxnFast(w, ctx, part);
+    if (!ctx->fastPath) {
+        if (!w.participant->prepare(w.env, ctx->txnid, part))
+            abortHeld(false);
+        else
+            postTxnVote(ctx);
         return;
     }
-
-    if (!part.writes.empty()) {
-        std::size_t slot = w.plog->alloc(w.env);
-        if (slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
-            // Pressure valve: a checkpoint makes every gated
-            // free eligible; then retry once.
-            w.kv->checkpoint(w.env);
-            sweepSlotFrees(w);
-            slot = w.plog->alloc(w.env);
-        }
-        if (slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
-            txn::LockTable::Events ev;
-            w.lockTable.releaseAll(ctx->txnid, part.lockKeys, ev);
-            abortTxnPart(w, ctx, partIdx, false);
-            serviceLockEvents(w, std::move(ev));
-            return;
-        }
-        w.plog->publish(w.env, slot, ctx->txnid,
-                        part.writes.data(), part.writes.size());
-        part.slot = slot;
-        ++w.unappliedTxns;
-    }
-    part.prepared = true;
-    postTxnEvent(TxnEvent{TxnEvent::Kind::Prepared, partIdx, ctx});
-}
-
-/**
- * Single-shard fast path: stage the whole write-set as one epoch
- * -- the backend's epoch atomicity (LP discards unsealed batches,
- * WAL rolls back incomplete ones) is then the transaction
- * atomicity, with no prepare slot, no decision record, and no
- * eager protocol flush. This is where LP's commit-latency win
- * over WAL must survive. The reply and the lock release both
- * wait for the epoch commit (releaseAck).
- */
-void
-Server::Impl::commitTxnFast(Worker &w,
-                            const std::shared_ptr<TxnCtx> &ctx,
-                            TxnCtx::Part &part)
-{
     std::string body = encodeTxnReadsBody(ctx->reads);
     if (part.writes.empty()) {
         // Read-only: nothing to persist, reply straight away.
-        txn::LockTable::Events ev;
-        w.lockTable.releaseAll(ctx->txnid, part.lockKeys, ev);
-        Response r;
-        r.status = Status::Ok;
-        r.id = ctx->reqId;
-        r.body = std::move(body);
-        postReply(ctx->connId, std::move(r));
-        w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
-        w.txnCommitNs.record(obs::nowNs() - ctx->tStartNs);
-        serviceLockEvents(w, std::move(ev));
+        replyFastTxn(w, *ctx, std::move(body));
         return;
     }
-    // Pre-flush so the write-set cannot straddle an epoch seal
-    // (stage() auto-commits WITH the filling op included, so
-    // staged + writes <= batchOps keeps us in one epoch).
-    engine::CommitPipeline &pl = w.kv->pipeline(0);
-    if (pl.stagedOps() > 0 &&
-        pl.stagedOps() + part.writes.size() >
-            std::size_t(cfg.batchOps))
-        w.kv->commitBatches(w.env);
-    std::uint64_t epoch = 0;
-    for (const auto &wr : part.writes) {
-        epoch = wr.del ? w.kv->del(w.env, wr.key)
-                       : w.kv->put(w.env, wr.key, wr.value);
-        w.statMuts.fetch_add(1, std::memory_order_relaxed);
-    }
-    Worker::Pending p;
-    p.connId = ctx->connId;
-    p.reqId = ctx->reqId;
-    p.epoch = epoch;
-    p.tStagedNs = obs::nowNs();
-    p.txn = ctx;
-    p.txnBody = std::move(body);
-    w.pending.push_back(std::move(p));
+    const std::uint64_t epoch = w.participant->commitFast(
+        w.env, part.writes, [&](std::uint64_t) {
+            w.statMuts.fetch_add(1, std::memory_order_relaxed);
+        });
+    w.pending.push_back(Worker::Pending{.connId = ctx->connId,
+                                        .reqId = ctx->reqId,
+                                        .epoch = epoch,
+                                        .tStagedNs = obs::nowNs(),
+                                        .txn = ctx,
+                                        .txnBody = std::move(body)});
     w.kv->pipeline(0).notePending(epoch, Clock::now());
 }
 
 /**
- * Coordinator entry: validate, pick the path, split the wire ops
- * into per-shard parts with their lock plans, and fan out.
+ * A fast-path transaction is durable: reply with its reads, then
+ * release its locks (held until now so no later transaction could
+ * commit against values a crash might still discard).
+ */
+void
+Server::Impl::replyFastTxn(Worker &w, const TxnCtx &ctx,
+                           std::string body)
+{
+    Response r;
+    r.status = Status::Ok;
+    r.id = ctx.reqId;
+    r.body = std::move(body);
+    postReply(ctx.connId, std::move(r));
+    w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
+    w.txnCommitNs.record(obs::nowNs() - ctx.tStartNs);
+    txn::LockTable::Events ev;
+    w.participant->release(ctx.txnid, ctx.parts[0], ev);
+    serviceLockEvents(w, std::move(ev));
+}
+
+/**
+ * Coordinator entry: validate, split the wire ops into per-shard
+ * parts with their lock plans, pick the path, and fan out.
  */
 void
 Server::Impl::routeTxn(Conn &c, Request &req)
@@ -339,54 +234,9 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     ctx->traceId = obs::traceIdOf(c.id, req.id);
     ctx->tStartNs = obs::nowNs();
     ctx->ops = std::move(req.txn);
-    ctx->readSlot.assign(ctx->ops.size(), -1);
-    // Split ops by shard into parts (wire order preserved
-    // within a part) and count writes for the path choice.
-    std::unordered_map<int, std::size_t> partOf;
-    std::size_t nWrites = 0;
-    for (std::size_t i = 0; i < ctx->ops.size(); ++i) {
-        const TxnOp &t = ctx->ops[i];
-        const int shard = routeShard(t.key, cfg.shards);
-        const auto [pit, fresh] =
-            partOf.try_emplace(shard, ctx->parts.size());
-        if (fresh) {
-            ctx->parts.emplace_back();
-            ctx->parts.back().shard = shard;
-        }
-        TxnCtx::Part &part = ctx->parts[pit->second];
-        part.ops.push_back(std::uint32_t(i));
-        if (t.kind == TxnOp::Kind::Get) {
-            ctx->readSlot[i] = int(ctx->reads.size());
-            ctx->reads.emplace_back();
-        } else {
-            part.hasWrites = true;
-            ++nWrites;
-        }
-    }
-    // Lock plan per part: keys sorted ascending, mode = max
-    // over the part's ops on that key (ordered map dedups).
-    for (auto &part : ctx->parts) {
-        std::map<std::uint64_t, txn::LockMode> modes;
-        for (const auto opIdx : part.ops) {
-            const TxnOp &t = ctx->ops[opIdx];
-            txn::LockMode &m = modes[t.key];
-            if (t.kind != TxnOp::Kind::Get)
-                m = txn::LockMode::Write;
-        }
-        for (const auto &[key, mode] : modes) {
-            part.lockKeys.push_back(key);
-            part.lockModes.push_back(mode);
-        }
-    }
-    // Fast path: single shard, and the write-set fits one
-    // epoch of a batching backend (eager persists per op, so
-    // it can never make a multi-write set crash-atomic
-    // without the prepare/decision protocol).
-    ctx->fastPath =
-        ctx->parts.size() == 1 &&
-        (nWrites == 0 ||
-         (cfg.backend != store::Backend::EagerPerOp &&
-          nWrites <= std::size_t(cfg.batchOps)));
+    ctx->split(
+        [&](std::uint64_t key) { return routeShard(key, cfg.shards); });
+    ctx->fastPath = txn::fastPath(*ctx, cfg.backend, cfg.batchOps);
     ctx->votesLeft.store(int(ctx->parts.size()),
                          std::memory_order_relaxed);
     const std::uint64_t tEnq = obs::nowNs();
@@ -405,19 +255,16 @@ Server::Impl::routeTxn(Conn &c, Request &req)
 
 /** Collect participant votes; the last vote decides the txn. */
 void
-Server::Impl::drainTxnEvents()
+Server::Impl::drainTxnVotes()
 {
-    std::vector<TxnEvent> local;
+    std::vector<std::shared_ptr<TxnCtx>> local;
     {
         std::lock_guard<std::mutex> g(txnMu);
-        local.swap(txnEvents);
+        local.swap(txnVotes);
     }
-    for (TxnEvent &ev : local) {
-        if (ev.ctx->votesLeft.fetch_sub(
-                1, std::memory_order_acq_rel) != 1)
-            continue;
-        finishTxn(ev.ctx);
-    }
+    for (const auto &ctx : local)
+        if (ctx->votesLeft.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            finishTxn(ctx);
 }
 
 /**
@@ -454,15 +301,11 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
                               ctx->reqId));
         return;
     }
-    bool anyWrites = false;
-    for (const auto &part : ctx->parts)
-        if (!part.writes.empty())
-            anyWrites = true;
     // The decision append (store + flush + fence) IS the commit:
     // with every vote durable, the record makes the outcome
     // recoverable, so the client reply goes out now and the
     // applies stay lazy.
-    if (anyWrites)
+    if (ctx->nWrites > 0)
         dlog->append(txnEnv, ctx->txnid);
     Response r;
     r.status = Status::Ok;

@@ -55,8 +55,9 @@ Server::Impl::openStore(Worker &w)
             *w.arena, cfg.flightEvents, std::uint32_t(w.index));
     w.kv = std::make_unique<store::KvStore<kernels::NativeEnv>>(
         *w.arena, scfg, cfg.backend, attach);
-    w.plog = std::make_unique<txn::PrepareLog<kernels::NativeEnv>>(
-        *w.arena, cfg.txnPrepareSlots, attach);
+    w.participant =
+        std::make_unique<txn::Participant<kernels::NativeEnv>>(
+            *w.arena, *w.kv, 0, cfg.txnPrepareSlots, attach);
     // Attach the trace ring before recovery so the replay's
     // "recover_shard" span lands in the collector -- and tee it
     // into the flight recorder, which persists every span this
@@ -101,22 +102,9 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
     }
     if (p.txn) {
         // Fast-path TXN: the epoch carrying the whole write-set
-        // committed, so the transaction is durable -- reply, then
-        // release the locks (held until now so no later
-        // transaction could commit against values a crash might
-        // still have discarded with the unsealed batch).
+        // committed.
         w.commitWaitNs.record(waitDt);
-        Response r;
-        r.status = Status::Ok;
-        r.id = p.reqId;
-        r.body = std::move(p.txnBody);
-        postReply(p.connId, std::move(r));
-        w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
-        w.txnCommitNs.record(obs::nowNs() - p.txn->tStartNs);
-        txn::LockTable::Events ev;
-        w.lockTable.releaseAll(
-            p.txn->txnid, p.txn->parts[0].lockKeys, ev);
-        serviceLockEvents(w, std::move(ev));
+        replyFastTxn(w, *p.txn, std::move(p.txnBody));
         return;
     }
     if (p.connId == 0)
@@ -160,7 +148,7 @@ Server::Impl::releaseCommitted(Worker &w)
         releaseAck(w, w.pending.front());
         w.pending.pop_front();
     }
-    sweepSlotFrees(w);
+    w.participant->sweepFrees(w.env);
     const engine::PipelineCounters &c = pl.counters();
     w.statAcks.store(c.acksReleased, std::memory_order_relaxed);
     w.statEpochs.store(c.epochsCommitted,
@@ -175,25 +163,6 @@ Server::Impl::releaseCommitted(Worker &w)
     // recoverable by postmortem after a SIGKILL.
     if (w.flight && ce != prevCe)
         w.flight->seal();
-}
-
-/** Free applied slots whose marker epoch the shard has made
- *  durable (the lazy-free gate of txn/prepare_log.hh). The gate
- *  is the pipeline's volatile durable watermark: it matches the
- *  superblock's for LP/WAL but, unlike it, also advances for the
- *  eager backend, whose in-place per-op persists never fold. */
-void
-Server::Impl::sweepSlotFrees(Worker &w)
-{
-    if (w.slotFrees.empty())
-        return;
-    const std::uint64_t durable = w.kv->pipeline(0).foldedEpoch();
-    std::erase_if(w.slotFrees, [&](const Worker::SlotFree &f) {
-        if (durable < f.epoch)
-            return false;
-        w.plog->free(w.env, f.slot);
-        return true;
-    });
 }
 
 /// Can this kind join Worker::deferred? Single-key Gets bypass
@@ -217,18 +186,10 @@ Server::Impl::deferNow(Worker &w, const OpItem &op) const
 {
     switch (op.kind) {
       case OpItem::Kind::Scan:
-        // A granted write lock may cover a prepared-but-
-        // unapplied transaction write; a sub-scan passing
-        // through it could hand the k-way merge a half-applied
-        // transaction.
-        return w.unappliedTxns > 0 &&
-               w.lockTable.anyWriteLockedAtOrAbove(op.key);
+        return w.participant->scanMustWait(op.key);
       case OpItem::Kind::Put:
       case OpItem::Kind::Del:
-        // A plain store between a transaction's resolve and its
-        // apply would be clobbered by the apply (lost update).
-        return w.unappliedTxns > 0 &&
-               w.lockTable.writeLocked(op.key);
+        return w.participant->writeMustWait(op.key);
       default:
         // Txn parts always run once they reach the front: lock
         // acquisition itself resolves conflicts (grant, park,
@@ -369,9 +330,12 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // following releaseCommitted() releases it the same round
         // for backends that commit per op (eager, and WAL when the
         // op filled its batch).
-        w.pending.push_back(Worker::Pending{
-            op.connId, op.reqId, epoch, obs::nowNs(), op.traceId,
-            op.batch});
+        w.pending.push_back(Worker::Pending{.connId = op.connId,
+                                            .reqId = op.reqId,
+                                            .epoch = epoch,
+                                            .tStagedNs = obs::nowNs(),
+                                            .traceId = op.traceId,
+                                            .batch = op.batch});
         w.kv->pipeline(0).notePending(epoch, Clock::now());
         return;
       }
@@ -382,46 +346,29 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         serviceLockEvents(w, std::move(ev));
         return;
       }
-      case OpItem::Kind::TxnApply: {
-        // Coordinator decided commit: apply this part's write-set
-        // lazily (the decision record makes it recoverable), then
-        // persist the applied marker BEFORE releasing the locks --
-        // once unlocked keys are externally visible, a crash must
-        // roll forward, never re-run a half-superseded apply.
-        TxnCtx::Part &part = op.txn->parts[op.part];
-        std::uint64_t epoch = 0;
-        for (const auto &wr : part.writes) {
-            epoch = wr.del ? w.kv->del(w.env, wr.key)
-                           : w.kv->put(w.env, wr.key, wr.value);
-            w.statMuts.fetch_add(1, std::memory_order_relaxed);
-            w.pending.push_back(Worker::Pending{
-                0, 0, epoch, obs::nowNs(), op.txn->traceId,
-                nullptr});
-            w.kv->pipeline(0).notePending(epoch, Clock::now());
-        }
-        if (!part.writes.empty()) {
-            w.plog->markApplied(w.env, part.slot, epoch);
-            w.slotFrees.push_back(
-                Worker::SlotFree{part.slot, epoch});
-            --w.unappliedTxns;
-        }
-        txn::LockTable::Events ev;
-        w.lockTable.releaseAll(op.txn->txnid, part.lockKeys, ev);
-        serviceLockEvents(w, std::move(ev));
-        return;
-      }
+      case OpItem::Kind::TxnApply:
       case OpItem::Kind::TxnAbort: {
-        // Coordinator decided abort and this part had prepared:
-        // freeing the undecided vote IS the roll-back. The free
-        // is lazy on purpose -- if it tears, recovery still sees
-        // prepared-with-no-decision and rolls back again.
-        TxnCtx::Part &part = op.txn->parts[op.part];
-        if (!part.writes.empty()) {
-            w.plog->free(w.env, part.slot);
-            --w.unappliedTxns;
-        }
+        // The coordinator decided. Commit: the participant applies
+        // the part's write-set and persists the applied marker, all
+        // BEFORE the locks go; each apply rides the ack pipeline as
+        // an internal (reply-less) pending entry. Abort (this part
+        // had prepared): it frees the undecided vote.
+        const txn::TxnPart &part = op.txn->parts[op.part];
+        if (op.kind == OpItem::Kind::TxnAbort)
+            w.participant->rollBack(w.env, part);
+        else
+            w.participant->apply(w.env, part, [&](std::uint64_t e) {
+                w.statMuts.fetch_add(1, std::memory_order_relaxed);
+                w.pending.push_back(
+                    Worker::Pending{.connId = 0,
+                                    .reqId = 0,
+                                    .epoch = e,
+                                    .tStagedNs = obs::nowNs(),
+                                    .traceId = op.txn->traceId});
+                w.kv->pipeline(0).notePending(e, Clock::now());
+            });
         txn::LockTable::Events ev;
-        w.lockTable.releaseAll(op.txn->txnid, part.lockKeys, ev);
+        w.participant->release(op.txn->txnid, part, ev);
         serviceLockEvents(w, std::move(ev));
         return;
       }
@@ -429,12 +376,8 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // Startup phase 2 (after every shard's own recovery and
         // the coordinator's decision-log scan): replay this
         // shard's prepare table against the decision index.
-        const std::vector<txn::PrepareLog<kernels::NativeEnv> *>
-            pls{w.plog.get()};
-        const std::vector<std::uint64_t> marks{
-            w.kv->committedEpoch(0)};
-        w.txnReport = txn::recoverTxns(w.env, *w.kv, pls, marks,
-                                       dlog->index());
+        w.txnReport = w.participant->recover(
+            w.env, w.kv->committedEpoch(0), dlog->index());
         {
             std::lock_guard<std::mutex> g(readyMu);
             ++txnReadyCount;

@@ -26,8 +26,9 @@
  * the free store (txnid = 0) is itself a lazy store that may persist
  * *before* the applies it covers, making a crash look like
  * "decision + no slot = nothing to do" while the applies are lost.
- * Callers keep a pending-free list gated on durableEpoch() and use
- * checkpoint() as the pressure valve when the table fills.
+ * txn::Participant (participant.hh) keeps the pending-free list
+ * gated on the shard's folded epoch and uses checkpoint() as the
+ * pressure valve when the table fills.
  *
  * Concurrency: single-writer-per-shard, like everything behind an
  * Env. Allocation is a linear scan (tables are small, <= a few
@@ -43,21 +44,10 @@
 #include "base/logging.hh"
 #include "pmem/arena.hh"
 #include "repair/repair.hh"
+#include "txn/txn_op.hh"
 
 namespace lp::txn
 {
-
-/** Write-set cap per (shard, transaction); matches protocol's
- *  maxTxnOps so any wire transaction fits one slot per shard. */
-inline constexpr std::size_t maxTxnWriteOps = 32;
-
-/** One resolved write of a transaction's write-set. */
-struct WriteOp
-{
-    std::uint64_t key = 0;
-    std::uint64_t value = 0;
-    bool del = false;
-};
 
 /**
  * One PREPARE slot: a 64-byte header plus the resolved write-set as

@@ -1,32 +1,20 @@
 /**
  * @file
  * txn::TxnKv -- the embedded (single-threaded) transactional facade
- * over a multi-shard KvStore, running the full cross-shard commit
- * protocol inline: lock acquisition, Add-delta resolution, PREPARE
- * publication, the DecisionLog append (the durability point), lazy
- * applies, applied markers, and gated slot frees.
+ * over a multi-shard KvStore. A driver: it runs the commit protocol
+ * inline on one txn::Participant per shard -- the code the server's
+ * workers run -- with the DecisionLog append (the commit point)
+ * between prepare and apply, and crash hooks (Step) between the
+ * steps, so the crash matrix can kill it at each one and the sim can
+ * account every persistent store.
  *
- * This is the same protocol lp::server's acceptor/worker split runs
- * across threads, collapsed into one call stack so the crash matrix
- * can kill it at every named step (the Hook) and the sim can account
- * every persistent store. Two commit paths:
- *
- *  - Fast path (single participant shard, batching backend, write
- *    count fits one epoch): writes are staged as one epoch, which the
- *    backend already makes crash-atomic (LP discards unsealed
- *    batches, WAL rolls back incomplete ones). No prepare, no
- *    decision record: commit latency is one lazy stage -- this is
- *    where LP's latency win over WAL must survive, so single-shard
- *    transactions must not pay eager protocol writes.
- *  - General path (cross-shard, forced, or the eager backend, whose
- *    per-op persists have no batch atomicity): PREPARE per
- *    participant, one DecisionLog append, then lazy applies.
- *
- * Read semantics: ops execute in order against an overlay, so a Get
- * after a Put/Add in the same transaction sees the transaction's own
- * write; Gets before it see pre-transaction state. Locks make the
- * whole transaction atomic against concurrent transactions (in the
- * server); here they mostly exercise the same code paths.
+ * A txn::fastPath() transaction stages its writes as one epoch, with
+ * no prepare and no decision record: that is where LP's commit
+ * latency win over WAL must survive. Any other (or forceGeneral)
+ * prepares per participant, appends the decision, then applies
+ * lazily; a PREPARE table still full after its pressure valve aborts
+ * it (Result::committed false). Gets see the transaction's own
+ * earlier writes.
  *
  * After a crash (CrashException from the hook or the sim), callers
  * MUST recover() before using the instance again, mirroring the
@@ -36,22 +24,18 @@
 #ifndef LP_TXN_TXN_KV_HH
 #define LP_TXN_TXN_KV_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "store/kv_store.hh"
-#include "store/layout.hh"
 #include "txn/decision_log.hh"
-#include "txn/lock_table.hh"
-#include "txn/prepare_log.hh"
-#include "txn/recovery.hh"
+#include "txn/participant.hh"
 
 namespace lp::txn
 {
@@ -93,20 +77,6 @@ class TxnKv
     /** May throw pmem::CrashException to simulate dying there. */
     using Hook = std::function<void(Step)>;
 
-    struct Op
-    {
-        enum class Kind : std::uint8_t
-        {
-            Get,
-            Put,
-            Del,
-            Add,  ///< value is a two's-complement delta; absent = 0
-        };
-        Kind kind = Kind::Get;
-        std::uint64_t key = 0;
-        std::uint64_t value = 0;
-    };
-
     struct Result
     {
         bool committed = false;
@@ -120,14 +90,12 @@ class TxnKv
           backend_(backend)
     {
         for (int s = 0; s < cfg.store.shards; ++s)
-            plogs_.emplace_back(arena, cfg.prepareSlots, attach);
+            parts_.emplace_back(arena, kv_, s, cfg.prepareSlots, attach,
+                                s == 0 ? nullptr : &parts_.front());
         dlog_.emplace(arena, cfg.decisionEntries, attach);
-        locks_.resize(std::size_t(cfg.store.shards));
     }
 
     store::KvStore<Env> &kv() { return kv_; }
-    const Config &config() const { return cfg_; }
-    std::uint64_t nextTxnId() const { return nextTxn_; }
 
     /**
      * Execute one transaction. @p forceGeneral routes even
@@ -135,127 +103,73 @@ class TxnKv
      * matrix uses this to reach every protocol step).
      */
     Result
-    run(Env &env, const std::vector<Op> &ops, const Hook &hook = {},
+    run(Env &env, const std::vector<TxnOp> &ops, const Hook &hook = {},
         bool forceGeneral = false)
     {
         LP_ASSERT(!ops.empty() && ops.size() <= maxTxnWriteOps,
                   "transaction op count out of range");
         const TxnId id = nextTxn_++;
-        Result res;
-
-        // Lock set: one mode per distinct key, write if any mutation.
-        std::map<std::uint64_t, LockMode> modes;
-        for (const auto &op : ops) {
-            auto &m = modes[op.key];
-            if (op.kind != Op::Kind::Get)
-                m = LockMode::Write;
-        }
-        std::vector<std::uint64_t> held;
-        for (const auto &[key, mode] : modes) {
-            const auto got =
-                lockTable(key).acquire(id, key, mode);
-            LP_ASSERT(got == Acquire::Granted,
+        TxnPlan plan;
+        plan.ops = ops;
+        plan.split([&](std::uint64_t key) { return kv_.shardOf(key); });
+        LockTable::Events ev;
+        for (const TxnPart &part : plan.parts) {
+            std::size_t next = 0;
+            LP_ASSERT(participant(part).lock(id, part, next, ev) ==
+                          Acquire::Granted,
                       "embedded txn lock conflict (single-threaded)");
-            held.push_back(key);
         }
-
-        // Resolve ops in order against an overlay: read-your-writes,
-        // Add deltas become concrete values, last write per key wins.
-        std::unordered_map<std::uint64_t,
-                           std::optional<std::uint64_t>>
-            overlay;
-        std::vector<std::uint64_t> writeOrder;  // first-write order
-        const auto current =
-            [&](std::uint64_t key) -> std::optional<std::uint64_t> {
-            const auto it = overlay.find(key);
-            if (it != overlay.end())
-                return it->second;
-            return kv_.get(env, key);
-        };
-        const auto noteWrite = [&](std::uint64_t key) {
-            if (overlay.find(key) == overlay.end())
-                writeOrder.push_back(key);
-        };
-        for (const auto &op : ops) {
-            switch (op.kind) {
-              case Op::Kind::Get: {
-                const auto v = current(op.key);
-                res.reads.emplace_back(v.has_value(),
-                                       v.value_or(0));
-                break;
-              }
-              case Op::Kind::Put:
-                noteWrite(op.key);
-                overlay[op.key] = op.value;
-                break;
-              case Op::Kind::Del:
-                noteWrite(op.key);
-                overlay[op.key] = std::nullopt;
-                break;
-              case Op::Kind::Add: {
-                const auto v = current(op.key);
-                noteWrite(op.key);
-                overlay[op.key] = v.value_or(0) + op.value;
-                break;
-              }
-            }
-        }
-
-        // Per-shard resolved write-sets, keys in first-write order.
-        std::map<int, std::vector<WriteOp>> writes;
-        std::size_t nWrites = 0;
-        for (const auto key : writeOrder) {
-            const auto &val = overlay[key];
-            WriteOp w;
-            w.key = key;
-            w.del = !val.has_value();
-            w.value = val.value_or(0);
-            writes[kv_.shardOf(key)].push_back(w);
-            ++nWrites;
-        }
+        for (TxnPart &part : plan.parts)
+            participant(part).resolve(env, plan, part);
+        // Prepare and apply in shard order.
+        std::sort(plan.parts.begin(), plan.parts.end(),
+                  [](const TxnPart &a, const TxnPart &b) {
+                      return a.shard < b.shard;
+                  });
 
         if (hook)
             hook(Step::PrePrepare);
 
-        if (writes.empty()) {
-            releaseLocks(id, held);
-            res.committed = true;
-            return res;
-        }
-
-        const bool fastPath =
-            !forceGeneral && writes.size() == 1 &&
-            backend_ != store::Backend::EagerPerOp &&
-            nWrites <= std::size_t(cfg_.store.batchOps);
-        if (fastPath) {
-            commitFast(env, writes.begin()->first,
-                       writes.begin()->second);
-        } else {
-            commitGeneral(env, id, writes, hook);
-        }
+        Result res;
         res.committed = true;
-        releaseLocks(id, held);
-        sweepFrees(env);
+        if (plan.nWrites > 0) {
+            if (!forceGeneral &&
+                fastPath(plan, backend_, cfg_.store.batchOps))
+                participant(plan.parts[0])
+                    .commitFast(env, plan.parts[0].writes,
+                                [](std::uint64_t) {});
+            else
+                res.committed = commitGeneral(env, id, plan, hook);
+        }
+        for (const TxnPart &part : plan.parts)
+            participant(part).release(id, part, ev);
+        LP_ASSERT(ev.granted.empty() && ev.died.empty(),
+                  "embedded txn released onto waiters");
+        if (plan.nWrites > 0)
+            sweepFrees(env);
+        if (res.committed)
+            for (const TxnRead &r : plan.reads)
+                res.reads.emplace_back(r.found, r.value);
         return res;
     }
 
     /**
      * Recover after a crash: journal replay, decision-index rebuild,
-     * the txn decision rules, and a reset of all volatile protocol
-     * state (locks, pending frees, id counter).
+     * the txn decision rules per shard, and a reset of all volatile
+     * protocol state (locks, pending frees, id counter).
      */
     TxnRecoveryReport
     recover(Env &env)
     {
         const auto kvRep = kv_.recover(env);
-        locks_.assign(std::size_t(cfg_.store.shards), LockTable{});
-        pendingFrees_.clear();
+        for (auto &p : parts_)
+            p.reset();
         const std::uint64_t decMax = dlog_->scan(env);
-        std::vector<PrepareLog<Env> *> pls;
-        for (auto &pl : plogs_)
-            pls.push_back(&pl);
-        auto rep = recoverTxns(env, kv_, pls, kvRep.committedEpochs,
-                               dlog_->index());
+        TxnRecoveryReport rep;
+        for (auto &p : parts_)
+            rep.merge(p.recover(
+                env, kvRep.committedEpochs[std::size_t(p.shard())],
+                dlog_->index()));
         rep.maxTxnId = std::max(rep.maxTxnId, decMax);
         nextTxn_ = rep.maxTxnId + 1;
         return rep;
@@ -270,143 +184,74 @@ class TxnKv
     }
 
     /** Prepare slots awaiting their durability gate (tests). */
-    std::size_t pendingSlotFrees() const { return pendingFrees_.size(); }
+    std::size_t
+    pendingSlotFrees() const
+    {
+        return parts_.front().pendingFrees();
+    }
 
   private:
-    void
-    commitFast(Env &env, int shard, const std::vector<WriteOp> &ws)
+    /** The general path. False: a PREPARE table stayed full, and the
+     *  transaction rolled back. */
+    bool
+    commitGeneral(Env &env, TxnId id, TxnPlan &plan, const Hook &hook)
     {
-        // Pre-flush so the whole write-set lands in ONE epoch: the
-        // backend's per-epoch atomicity is then the txn atomicity.
-        auto &pl = kv_.pipeline(shard);
-        if (pl.stagedOps() > 0 &&
-            pl.stagedOps() + ws.size() >
-                std::size_t(cfg_.store.batchOps))
-            kv_.commitBatches(env);
-        for (const auto &w : ws) {
-            if (w.del)
-                kv_.del(env, w.key);
-            else
-                kv_.put(env, w.key, w.value);
-        }
-    }
+        const auto step = [&](Step s) {
+            if (hook)
+                hook(s);
+        };
+        std::vector<TxnPart *> writers;
+        for (TxnPart &part : plan.parts)
+            if (!part.writes.empty())
+                writers.push_back(&part);
 
-    void
-    commitGeneral(Env &env, TxnId id,
-                  const std::map<int, std::vector<WriteOp>> &writes,
-                  const Hook &hook)
-    {
-        std::vector<std::pair<int, std::size_t>> slots;
-        bool first = true;
-        for (const auto &[shard, ws] : writes) {
-            const std::size_t slot = allocSlot(env, shard);
-            plogs_[std::size_t(shard)].publish(env, slot, id,
-                                               ws.data(), ws.size());
-            slots.emplace_back(shard, slot);
-            if (first && writes.size() > 1 && hook)
-                hook(Step::MidPrepare);
-            first = false;
+        for (TxnPart *part : writers) {
+            if (!participant(*part).prepare(env, id, *part)) {
+                for (TxnPart *p : writers)
+                    participant(*p).rollBack(env, *p);
+                return false;
+            }
+            if (part == writers.front() && writers.size() > 1)
+                step(Step::MidPrepare);
         }
-        if (hook)
-            hook(Step::PostPrepare);
+        step(Step::PostPrepare);
 
         dlog_->append(env, id);  // THE commit point
-        if (hook)
-            hook(Step::PostDecision);
+        step(Step::PostDecision);
 
+        // Every participant applies before any marker, so the crash
+        // matrix can land between the two.
         std::vector<std::uint64_t> epochs;
         bool firstApply = true;
-        for (const auto &[shard, ws] : writes) {
-            std::uint64_t e = 0;
-            for (const auto &w : ws) {
-                e = w.del ? kv_.del(env, w.key)
-                          : kv_.put(env, w.key, w.value);
-                if (firstApply && hook)
-                    hook(Step::MidApply);
-                firstApply = false;
-            }
-            epochs.push_back(e);
-        }
-        if (hook)
-            hook(Step::PreMarker);
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            const auto [shard, slot] = slots[i];
-            plogs_[std::size_t(shard)].markApplied(env, slot,
-                                                   epochs[i]);
-            pendingFrees_.push_back(
-                PendingFree{shard, slot, epochs[i]});
-        }
-        if (hook)
-            hook(Step::PostMarker);
+        for (TxnPart *part : writers)
+            epochs.push_back(participant(*part).stage(
+                env, part->writes, [&](std::uint64_t) {
+                    if (firstApply)
+                        step(Step::MidApply);
+                    firstApply = false;
+                }));
+        step(Step::PreMarker);
+        for (std::size_t i = 0; i < writers.size(); ++i)
+            participant(*writers[i])
+                .markApplied(env, writers[i]->slot, epochs[i]);
+        step(Step::PostMarker);
+        return true;
     }
 
-    std::size_t
-    allocSlot(Env &env, int shard)
+    Participant<Env> &
+    participant(const TxnPart &part)
     {
-        auto &pl = plogs_[std::size_t(shard)];
-        std::size_t slot = pl.alloc(env);
-        if (slot == PrepareLog<Env>::npos) {
-            // Pressure valve: advance the durable watermark so gated
-            // frees become eligible, then retry.
-            kv_.checkpoint(env);
-            sweepFrees(env);
-            slot = pl.alloc(env);
-        }
-        LP_ASSERT(slot != PrepareLog<Env>::npos,
-                  "prepare table exhausted");
-        return slot;
+        return parts_[std::size_t(part.shard)];
     }
 
-    void
-    releaseLocks(TxnId id, const std::vector<std::uint64_t> &keys)
-    {
-        LockTable::Events ev;
-        for (const auto k : keys)
-            lockTable(k).release(id, k, ev);
-        LP_ASSERT(ev.granted.empty() && ev.died.empty(),
-                  "embedded txn released onto waiters");
-    }
-
-    /**
-     * Free applied slots whose epoch the shard has made durable.
-     * The gate reads the pipeline's volatile durable watermark, not
-     * the superblock's: the two agree for LP/WAL (the volatile one
-     * advances only after the meta persist), and for the eager
-     * backend -- which persists ops in place and never folds, so its
-     * superblock watermark is pinned at 0 -- only the pipeline knows
-     * every committed op is already durable.
-     */
-    void
-    sweepFrees(Env &env)
-    {
-        std::erase_if(pendingFrees_, [&](const PendingFree &f) {
-            if (kv_.pipeline(f.shard).foldedEpoch() < f.epoch)
-                return false;
-            plogs_[std::size_t(f.shard)].free(env, f.slot);
-            return true;
-        });
-    }
-
-    LockTable &
-    lockTable(std::uint64_t key)
-    {
-        return locks_[std::size_t(kv_.shardOf(key))];
-    }
-
-    struct PendingFree
-    {
-        int shard;
-        std::size_t slot;
-        std::uint64_t epoch;
-    };
+    /** The participants share one free list: one sweep covers all. */
+    void sweepFrees(Env &env) { parts_.front().sweepFrees(env); }
 
     Config cfg_;
     store::KvStore<Env> kv_;
     store::Backend backend_;
-    std::deque<PrepareLog<Env>> plogs_;
+    std::deque<Participant<Env>> parts_;  ///< one per shard
     std::optional<DecisionLog<Env>> dlog_;
-    std::vector<LockTable> locks_;
-    std::vector<PendingFree> pendingFrees_;
     TxnId nextTxn_ = 1;
 };
 

@@ -352,6 +352,9 @@ TEST_F(ServerNet, DribbledRequestsEveryOpcode)
         EXPECT_NE(r->body.find("lp_outbuf_bytes"), std::string::npos);
         EXPECT_NE(r->body.find("lp_eagain_total"), std::string::npos);
         EXPECT_NE(r->body.find("lp_writev_batch"), std::string::npos);
+        // Per-shard scan lengths, raw like writev_batch.
+        EXPECT_NE(r->body.find("lp_scan_len_count{shard=\"0\"}"),
+                  std::string::npos);
     }
 
     ::close(fd);

@@ -2,7 +2,8 @@
  * @file
  * End-to-end transaction tests against a live lp::server: commit and
  * read semantics over the wire on every backend, deterministic
- * wait-die abort surfacing (Status::Aborted), the 4-reader/2-writer
+ * wait-die abort surfacing (Status::Aborted), a full PREPARE table
+ * aborting transactions rather than the server, the 4-reader/2-writer
  * isolation stress -- a multi-shard SCAN's k-way merge must never
  * observe a partial transaction, so every scan of the account table
  * sees the exact invariant balance total -- and post-restart checks:
@@ -18,10 +19,12 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/client.hh"
 #include "server/server.hh"
+#include "store/layout.hh"
 
 using namespace lp;
 using namespace lp::server;
@@ -203,6 +206,110 @@ TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
     const auto g = contender.get(42);
     ASSERT_TRUE(g && g->status == Status::Ok);
     EXPECT_EQ(g->value, 8u);  // 7 put + 1 add
+    srv.stop();
+}
+
+/**
+ * A full PREPARE table refuses, it does not crash: with one slot per
+ * shard, concurrent cross-shard transfers (disjoint accounts, so no
+ * lock conflicts) race for the slots, and a prepare that still finds
+ * its table full after the checkpoint pressure valve aborts the whole
+ * transaction. Every reply is Ok or Aborted, aborted transfers leave
+ * no trace, and once the burst drains the slots are free again.
+ */
+TEST(ServerTxnPrepareFull, FullPrepareTableAbortsAndRecovers)
+{
+    const std::string dir = makeTempDir();
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.backend = store::Backend::Lp;
+    cfg.txnPrepareSlots = 1;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    // One (debit, credit) account pair per connection, always on
+    // different shards so every transfer takes the general path.
+    constexpr int kConns = 4;
+    constexpr int kTransfers = 100;
+    constexpr std::uint64_t kInitial = 1000;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    for (std::uint64_t k = 1; pairs.size() < std::size_t(kConns); k += 2)
+        if (store::shardOfKey(k, 2) != store::shardOfKey(k + 1, 2))
+            pairs.emplace_back(k, k + 1);
+    {
+        Client init;
+        connectToServer(init, dir);
+        for (const auto &[a, b] : pairs)
+            for (const std::uint64_t k : {a, b}) {
+                const auto p = init.putBackoff(k, kInitial);
+                ASSERT_TRUE(p && p->status == Status::Ok);
+            }
+    }
+
+    std::atomic<bool> failed{false};
+    std::atomic<int> aborts{0};
+    std::vector<std::uint64_t> moved(kConns, 0);  // committed total
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kConns; ++t) {
+        threads.emplace_back([&, t] {
+            Client c;
+            const int port = waitForPortFile(dir, 30000);
+            if (port <= 0 || !c.connectTo("127.0.0.1", port)) {
+                failed.store(true);
+                return;
+            }
+            const auto [a, b] = pairs[std::size_t(t)];
+            for (int i = 0; i < kTransfers; ++i) {
+                const std::uint64_t amt = 1 + std::uint64_t(i % 5);
+                const auto res =
+                    c.txn({top(TxnOp::Kind::Add, a,
+                               std::uint64_t(0) - amt),
+                           top(TxnOp::Kind::Add, b, amt)},
+                          10000);
+                if (!res || (res->status != Status::Ok &&
+                             res->status != Status::Aborted)) {
+                    failed.store(true);
+                    return;
+                }
+                if (res->status == Status::Ok)
+                    moved[std::size_t(t)] += amt;
+                else
+                    aborts.fetch_add(1);
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    ASSERT_FALSE(failed.load())
+        << "a reply was neither Ok nor Aborted, or the server died";
+
+    Client c;
+    connectToServer(c, dir);
+    std::uint64_t sum = 0;
+    for (int t = 0; t < kConns; ++t) {
+        const auto [a, b] = pairs[std::size_t(t)];
+        const auto ga = c.get(a);
+        const auto gb = c.get(b);
+        ASSERT_TRUE(ga && ga->status == Status::Ok);
+        ASSERT_TRUE(gb && gb->status == Status::Ok);
+        EXPECT_EQ(ga->value, kInitial - moved[std::size_t(t)]);
+        EXPECT_EQ(gb->value, kInitial + moved[std::size_t(t)]);
+        sum += ga->value + gb->value;
+    }
+    EXPECT_EQ(sum, 2 * kConns * kInitial)
+        << "an aborted transfer left half its writes";
+
+    // The burst is over: the single slot per shard must be free (or
+    // freeable by the pressure valve), so a lone transfer commits.
+    const auto [a, b] = pairs[0];
+    const auto res = c.txn({top(TxnOp::Kind::Add, a, 1),
+                            top(TxnOp::Kind::Add, b,
+                                std::uint64_t(0) - 1)},
+                           10000);
+    ASSERT_TRUE(res.has_value());
+    EXPECT_EQ(res->status, Status::Ok);
     srv.stop();
 }
 

@@ -159,7 +159,7 @@ smallConfig()
 }
 
 using SimTxnKv = TxnKv<kernels::SimEnv>;
-using TOp = SimTxnKv::Op;
+using TOp = TxnOp;
 
 TOp
 op(TOp::Kind k, std::uint64_t key, std::uint64_t value = 0)
