@@ -822,6 +822,7 @@ main(int argc, char **argv)
     root.emplace("shards", kShards);
     root.emplace("window", double(kWindow));
     root.emplace("zipfian", true);
+    root.emplace("machine", bench::machineInfo());
 
     const std::string traceBase =
         bench::argFlag(argc, argv, "trace-out");

@@ -134,10 +134,11 @@ main(int argc, char **argv)
 
     // YCSB-E: 95% short range scans / 5% inserts, served by the
     // lp::index ordered skiplist over the journal backends. Scans
-    // resolve every key through get(), so the simulated cost scales
-    // with records touched; the op count is kept below the A/B/C
-    // grid's to bound run time. Every scan is verified inline against
-    // the golden map (ascending keys, matching values).
+    // read values from the DRAM index, which the simulator does not
+    // model, so only the inserts cost simulated time; the op count is
+    // kept below the A/B/C grid's to bound run time. Every scan is
+    // verified inline against the golden map (ascending keys,
+    // matching values).
     {
         YcsbParams pe = base;
         pe.mix = YcsbMix::E;

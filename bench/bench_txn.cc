@@ -463,6 +463,7 @@ main(int argc, char **argv)
     root.emplace("keys_per_txn", 2.0);
     root.emplace("theta", theta);
     root.emplace("load_fraction", loadFrac);
+    root.emplace("machine", bench::machineInfo());
 
     bool all_verified = true;
     obs::Histogram::Summary lpSingle, walSingle;

@@ -14,7 +14,9 @@
 #define LP_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "kernels/harness.hh"
 #include "kernels/workload.hh"
@@ -136,6 +138,32 @@ writeJsonReport(int argc, char **argv, const char *defaultPath,
     std::fclose(f);
     std::printf("wrote %s\n", path);
     return true;
+}
+
+/**
+ * The host a native (wall-clock) measurement ran on: CPU model,
+ * online CPUs and compiler. Reports with native sections carry it as
+ * "machine", so their numbers are read against the hardware that
+ * produced them.
+ */
+inline stats::JsonValue::Object
+machineInfo()
+{
+    std::string cpu = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 &&
+            colon != std::string::npos && colon + 2 <= line.size()) {
+            cpu = line.substr(colon + 2);
+            break;
+        }
+    }
+    stats::JsonValue::Object m;
+    m.emplace("cpu", cpu);
+    m.emplace("nproc", double(std::thread::hardware_concurrency()));
+    m.emplace("compiler", std::string(__VERSION__));
+    return m;
 }
 
 } // namespace lp::bench

@@ -1,6 +1,9 @@
 #include "engine/commit_pipeline.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
+#include "obs/shard_obs.hh"
 
 namespace lp::engine
 {
@@ -43,6 +46,10 @@ CommitPipeline::commitEpoch()
 {
     if (!open_)
         return false;
+    // One-op batches (the eager backend) say nothing about
+    // coalescing, and recording per op would tax every mutation.
+    if (obs_ && policy_.batchOps > 1)
+        obs_->commitBatchOps.record(std::uint64_t(stagedOps_));
     ++lastCommitted_;
     open_ = false;
     stagedOps_ = 0;
@@ -95,17 +102,21 @@ CommitPipeline::notePending(std::uint64_t epoch, Clock::time_point at)
     pending_.push_back(PendingAck{epoch, at});
 }
 
-CommitPipeline::Clock::time_point
-CommitPipeline::ackDeadline() const
+CommitTrigger
+CommitPipeline::commitTrigger(Clock::time_point now,
+                              bool queueDrained) const
 {
-    LP_ASSERT(hasPending(), "no pending ack to bound");
-    return pending_.front().at + policy_.flushDeadline;
-}
-
-bool
-CommitPipeline::commitDue(Clock::time_point now) const
-{
-    return hasPending() && now >= ackDeadline();
+    // pending_ is in epoch order: skip the acks whose epoch already
+    // committed (a full batch) and are only waiting to be released.
+    const auto oldest = std::partition_point(
+        pending_.begin(), pending_.end(), [&](const PendingAck &p) {
+            return p.epoch <= lastCommitted_;
+        });
+    if (oldest == pending_.end())
+        return CommitTrigger::None;
+    if (now >= oldest->at + policy_.flushDeadline)
+        return CommitTrigger::Deadline;
+    return queueDrained ? CommitTrigger::Drained : CommitTrigger::None;
 }
 
 void

@@ -7,9 +7,17 @@
  * accumulation (stage until batchOps ops), commit bookkeeping (the
  * open epoch is always lastCommitted + 1), fold-period accounting
  * (an eager checkpoint is due every foldBatches committed epochs),
- * flush-deadline scheduling for services that must not hold
- * acknowledgements hostage to future traffic, and per-epoch stats
- * under the canonical names of engine/stat_names.hh.
+ * the commit policy for services that hold acknowledgements until
+ * their epoch commits, and per-epoch stats under the canonical names
+ * of engine/stat_names.hh.
+ *
+ * Commit triggers: an epoch commits when its batch is full
+ * (stageOp()), when the owner's request queue drained with acks
+ * pending, or when the oldest pending ack outwaited flushDeadline --
+ * the backstop for a queue that never drains. The last two are one
+ * decision, commitTrigger(). An LP commit is a few plain checksum
+ * stores (no flush, no fence), so holding acks once there is nothing
+ * left to batch with would buy no coalescing, only latency.
  *
  * The pipeline is pure volatile bookkeeping: it never touches
  * persistent memory and never looks at a clock. The persistency
@@ -52,8 +60,9 @@ struct CommitPolicy
 
     /**
      * Commit an underfilled epoch once its oldest pending
-     * acknowledgement has waited this long (services only; callers
-     * without ack scheduling never consult it).
+     * acknowledgement has waited this long, even if the owner's
+     * queue never drains (services only; callers without ack
+     * scheduling never consult it).
      */
     std::chrono::microseconds flushDeadline{2000};
 };
@@ -68,8 +77,16 @@ struct PipelineCounters
     std::uint64_t acksReleased = 0;
 };
 
+/** Why an owner should commit its open epoch now. */
+enum class CommitTrigger
+{
+    None,     ///< no uncommitted ack is pending
+    Drained,  ///< the request queue drained with acks pending
+    Deadline, ///< the oldest uncommitted ack outwaited the deadline
+};
+
 /**
- * Epoch sequencing + fold accounting + deadline-bounded ack release
+ * Epoch sequencing + fold accounting + drain/deadline ack release
  * for one shard. Invariant throughout: the open epoch (when one is
  * open) is exactly lastCommitted() + 1, and foldedEpoch() trails
  * lastCommitted() by at most foldBatches epochs.
@@ -133,7 +150,7 @@ class CommitPipeline
     int committedSinceFold() const { return committedSinceFold_; }
     /// @}
 
-    /// @name Recoverable-ack scheduling (flush-deadline-bounded)
+    /// @name Recoverable-ack scheduling
     /// @{
 
     /** An ack for @p epoch entered service at @p at. */
@@ -143,15 +160,19 @@ class CommitPipeline
     std::size_t pendingCount() const { return pending_.size(); }
 
     /**
-     * When the oldest pending ack's deadline expires; requires
-     * hasPending(). Sleep until here, then commitDue() fires.
+     * The commit decision of one service round, taken after the
+     * round's ops were staged: Deadline when the oldest ack of a
+     * not-yet-committed epoch has waited flushDeadline by @p now,
+     * else Drained when @p queueDrained and such an ack is pending,
+     * else None. Acks of epochs a full batch already committed ask
+     * for nothing; they only await releaseUpTo(). An owner that
+     * commits on every non-None answer never idles with acks
+     * pending.
      */
-    Clock::time_point ackDeadline() const;
+    CommitTrigger commitTrigger(Clock::time_point now,
+                                bool queueDrained) const;
 
-    /** True when the oldest pending ack has outwaited the deadline. */
-    bool commitDue(Clock::time_point now) const;
-
-    /** The caller committed because commitDue() fired. */
+    /** The caller committed because commitTrigger() said Deadline. */
     void noteDeadlineCommit();
 
     /**

@@ -25,7 +25,8 @@ inline constexpr const char *epochsCommitted = "epochs_committed";
 /** Eager checkpoints (LP journal folds) performed. */
 inline constexpr const char *folds = "folds";
 
-/** Commits forced by the flush deadline, not a full batch. */
+/** Commits forced by the flush deadline (a queue that never
+ *  drained), not a full batch or a drained queue. */
 inline constexpr const char *deadlineCommits = "deadline_commits";
 
 /** Acknowledgements released by epoch commit. */
@@ -102,6 +103,12 @@ inline constexpr const char *scanLatNs = "scan_lat_ns";
  * counts, not nanoseconds -- hence no "_ns" tail.
  */
 inline constexpr const char *scanLen = "scan_len";
+
+/**
+ * Ops per committed epoch: how much write coalescing the commit
+ * triggers leave. Counts, like scan_len.
+ */
+inline constexpr const char *commitBatchOps = "commit_batch_ops";
 /// @}
 
 /// @name Per-shard recovery counters (store::RecoveryReport).

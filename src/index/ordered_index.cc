@@ -7,10 +7,11 @@ namespace
 {
 
 OrderedIndexNode *
-makeNode(std::uint64_t key, int height)
+makeNode(std::uint64_t key, std::uint64_t value, int height)
 {
     auto *n = new OrderedIndexNode;
     n->key = key;
+    n->value.store(value, std::memory_order_relaxed);
     n->height = height;
     n->limbo = nullptr;
     for (int i = 0; i < OrderedIndex::maxHeight; ++i)
@@ -23,7 +24,7 @@ makeNode(std::uint64_t key, int height)
 OrderedIndex::OrderedIndex()
     : rngState_(0x9e3779b97f4a7c15ull)
 {
-    head_ = makeNode(0, maxHeight);
+    head_ = makeNode(0, 0, maxHeight);
     residentBytes_.store(sizeof(OrderedIndexNode),
                          std::memory_order_relaxed);
 }
@@ -73,17 +74,19 @@ OrderedIndex::findFrom(std::uint64_t key,
 }
 
 void
-OrderedIndex::insert(std::uint64_t key)
+OrderedIndex::insert(std::uint64_t key, std::uint64_t value)
 {
     OrderedIndexNode *preds[maxHeight];
     OrderedIndexNode *hit = findFrom(key, preds);
-    if (hit != nullptr && hit->key == key)
+    if (hit != nullptr && hit->key == key) {
+        hit->value.store(value, std::memory_order_release);
         return;
+    }
     const int h = randomHeight();
-    OrderedIndexNode *n = makeNode(key, h);
+    OrderedIndexNode *n = makeNode(key, value, h);
     // Wire the new node first (not yet reachable), then publish
     // bottom-up with release stores: a reader arriving through any
-    // level sees the key and every lower link.
+    // level sees the key, its value and every lower link.
     for (int lvl = 0; lvl < h; ++lvl)
         n->next[lvl].store(
             preds[lvl]->next[lvl].load(std::memory_order_relaxed),

@@ -11,19 +11,23 @@
  * comes entirely from the store's checksums, never from this index.
  *
  * Structure: a classic skiplist (p = 1/4, capped height) holding
- * KEYS ONLY. Values are not cached here -- a scan resolves each key
- * through KvStore::get(), so range reads see exactly what point reads
- * see (including staged, not-yet-folded deltas) byte for byte.
+ * each live key with its LATEST value -- the DRAM view, staged
+ * not-yet-folded deltas included -- while the consistent view stays
+ * in persistent memory (the HUNTER split). The store mirrors every
+ * mutation it stages into the index, so a scan reads values straight
+ * off the cursor and sees exactly what point reads see, byte for
+ * byte, without resolving each key through the table.
  *
  * Concurrency: single writer, multiple readers, matching the store's
  * single-writer-per-shard contract (src/kernels/env.hh).
  *
  *  - The one owning thread calls insert/erase/clear/reclaim.
  *  - Any thread may traverse concurrently (contains, lowerBound,
- *    Cursor::advance). The writer publishes nodes with release
- *    stores on the next-pointers; readers traverse with acquire
- *    loads, so a reached node's key and lower links are always
- *    visible.
+ *    Cursor::advance, Cursor::value). The writer publishes nodes
+ *    with release stores on the next-pointers; readers traverse
+ *    with acquire loads, so a reached node's key, value and lower
+ *    links are always visible. An update of a present key's value
+ *    is a release store the cursor reads with an acquire load.
  *  - erase() unlinks a node but NEVER frees it: a concurrent reader
  *    may still be standing on it (its next-pointers keep pointing
  *    into the live list, so the reader simply walks back in).
@@ -63,6 +67,7 @@ inline constexpr int orderedIndexMaxHeight = 12;
 struct OrderedIndexNode
 {
     std::uint64_t key;
+    std::atomic<std::uint64_t> value;  ///< latest staged value
     int height;
     OrderedIndexNode *limbo;  ///< limbo-list link (writer-only)
     std::atomic<OrderedIndexNode *> next[orderedIndexMaxHeight];
@@ -82,8 +87,9 @@ class OrderedIndex
     /// @name Writer API (owning thread only)
     /// @{
 
-    /** Add @p key; a no-op if already present. */
-    void insert(std::uint64_t key);
+    /** Add @p key with @p value, or update the value of a present
+     *  key. */
+    void insert(std::uint64_t key, std::uint64_t value);
 
     /** Unlink @p key into the limbo list; a no-op if absent. */
     void erase(std::uint64_t key);
@@ -110,6 +116,12 @@ class OrderedIndex
       public:
         bool valid() const { return node_ != nullptr; }
         std::uint64_t key() const { return node_->key; }
+
+        std::uint64_t
+        value() const
+        {
+            return node_->value.load(std::memory_order_acquire);
+        }
 
         void
         advance()

@@ -33,6 +33,7 @@ struct ShardObs
     Histogram scanNs;    ///< whole-scan latency (index + value reads)
     Histogram scanLen;   ///< records returned per scan (a count, not ns)
     Histogram scrubNs;   ///< online-scrub step duration
+    Histogram commitBatchOps; ///< ops per committed epoch (a count)
 
     TraceRing *ring = nullptr; ///< null = tracing off for this shard
 };

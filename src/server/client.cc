@@ -134,10 +134,25 @@ Client::close()
 bool
 Client::sendRequest(const Request &r)
 {
-    if (fd_ < 0)
-        return false;
     std::vector<std::uint8_t> buf;
     encodeRequest(r, buf);
+    return sendBytes(buf);
+}
+
+bool
+Client::sendRequests(const std::vector<Request> &rs)
+{
+    std::vector<std::uint8_t> buf;
+    for (const Request &r : rs)
+        encodeRequest(r, buf);
+    return sendBytes(buf);
+}
+
+bool
+Client::sendBytes(const std::vector<std::uint8_t> &buf)
+{
+    if (fd_ < 0)
+        return false;
     std::size_t at = 0;
     while (at < buf.size()) {
         const ssize_t n = ::write(fd_, buf.data() + at,

@@ -112,6 +112,13 @@ class Client
     bool sendRequest(const Request &r);
 
     /**
+     * Encode @p rs back to back and send them in one write, so the
+     * server reads them together (tests use it to make one read of
+     * the server decide admission of every frame).
+     */
+    bool sendRequests(const std::vector<Request> &rs);
+
+    /**
      * Receive the next response frame, waiting up to @p timeoutMs
      * (-1 = forever). Returns nullopt on timeout, disconnect, or a
      * malformed reply.
@@ -183,6 +190,7 @@ class Client
     /// @}
 
   private:
+    bool sendBytes(const std::vector<std::uint8_t> &buf);
     std::optional<Response> roundTrip(const Request &r, int timeoutMs);
     std::optional<Response> retryLoop(Request r,
                                       const RetryPolicy &policy,

@@ -17,7 +17,8 @@
  *    PersistentArena (dataDir/shard-<i>.lpdb), honoring the
  *    single-writer-per-shard contract of src/kernels/env.hh. Workers
  *    coalesce mutations into the store's LP batches and commit on
- *    batch-full or when the oldest unacknowledged mutation exceeds
+ *    batch-full, when their queue drains, or -- for a queue that
+ *    never drains -- when the oldest unacknowledged mutation exceeds
  *    the flush deadline.
  *
  *  - Acknowledgement = recoverability. A mutation's reply is held
@@ -80,8 +81,9 @@ struct ServerConfig
 
     /**
      * Commit an underfilled batch once its oldest unacknowledged
-     * mutation has waited this long, bounding ack latency for slow
-     * or lone clients.
+     * mutation has waited this long. Workers commit whenever their
+     * queue drains, so this only bounds ack latency under a queue
+     * that never drains.
      */
     std::uint64_t flushDeadlineUs = 2000;
 

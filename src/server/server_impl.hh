@@ -453,7 +453,7 @@ struct Server::Impl
     // server_worker.cc -- the shard worker loop.
     void openStore(Worker &w);
     void releaseAck(Worker &w, Worker::Pending &p);
-    void releaseCommitted(Worker &w);
+    std::size_t releaseCommitted(Worker &w);
     static bool deferrable(OpItem::Kind k);
     bool deferNow(Worker &w, const OpItem &op) const;
     void dispatchOp(Worker &w, OpItem &op);

@@ -134,6 +134,7 @@ Server::Impl::statsJsonNow() const
         addLat(s, sn::recoverLatNs, ob.recoverNs);
         addLat(s, sn::scanLatNs, ob.scanNs);
         addLat(s, sn::scanLen, ob.scanLen);
+        addLat(s, sn::commitBatchOps, ob.commitBatchOps);
         addLat(s, sn::scrubLatNs, ob.scrubNs);
         addLat(s, sn::reqQueueNs, w.queueNs);
         addLat(s, sn::reqCommitWaitNs, w.commitWaitNs);
@@ -263,8 +264,10 @@ Server::Impl::metricsTextNow() const
         mt.histogramNs(promName(sn::recoverLatNs), lab,
                        ob.recoverNs);
         mt.histogramNs(promName(sn::scanLatNs), lab, ob.scanNs);
-        // Samples are record counts, not time: raw buckets.
+        // Samples are counts, not time: raw buckets.
         mt.histogramRaw(promName(sn::scanLen), lab, ob.scanLen);
+        mt.histogramRaw(promName(sn::commitBatchOps), lab,
+                        ob.commitBatchOps);
         mt.histogramNs(promName(sn::scrubLatNs), lab, ob.scrubNs);
         mt.histogramNs(promName(sn::reqQueueNs), lab, w.queueNs);
         mt.histogramNs(promName(sn::reqCommitWaitNs), lab,

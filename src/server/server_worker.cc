@@ -132,8 +132,9 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
  * Release every pending ack whose epoch has committed, and
  * refresh this worker's stat mirrors from the shard pipeline's
  * counters (the single source of truth for epoch accounting).
+ * Returns how many acks were released.
  */
-void
+std::size_t
 Server::Impl::releaseCommitted(Worker &w)
 {
     engine::CommitPipeline &pl = w.kv->pipeline(0);
@@ -163,6 +164,7 @@ Server::Impl::releaseCommitted(Worker &w)
     // recoverable by postmortem after a SIGKILL.
     if (w.flight && ce != prevCe)
         w.flight->seal();
+    return n;
 }
 
 /// Can this kind join Worker::deferred? Single-key Gets bypass
@@ -399,8 +401,10 @@ Server::Impl::workerMain(Worker &w)
     readyCv.notify_all();
 
     std::vector<OpItem> local;
+    engine::CommitPipeline &pl = w.kv->pipeline(0);
     for (;;) {
         bool stopping = false;
+        bool drained = false;
         local.clear();
         {
             std::unique_lock<std::mutex> lk(w.mu);
@@ -408,10 +412,11 @@ Server::Impl::workerMain(Worker &w)
                 return w.stopFlag || !w.q.empty();
             };
             if (w.q.empty() && !w.stopFlag) {
-                engine::CommitPipeline &pl = w.kv->pipeline(0);
-                if (pl.hasPending())
-                    w.cv.wait_until(lk, pl.ackDeadline(), woken);
-                else if (cfg.scrubIntervalMs > 0)
+                // The last round saw its queue drained and committed,
+                // so no ack is left waiting on an epoch commit.
+                LP_ASSERT(!pl.hasPending(),
+                          "worker idling with acks pending");
+                if (cfg.scrubIntervalMs > 0)
                     // Wake for the next scrub step even with no
                     // traffic: an idle server still patrols.
                     w.cv.wait_until(
@@ -426,7 +431,8 @@ Server::Impl::workerMain(Worker &w)
                 local.push_back(std::move(w.q.front()));
                 w.q.pop_front();
             }
-            stopping = w.stopFlag && w.q.empty();
+            drained = w.q.empty();
+            stopping = w.stopFlag && drained;
             w.statQueueDepth.store(w.q.size(),
                                    std::memory_order_relaxed);
         }
@@ -434,22 +440,28 @@ Server::Impl::workerMain(Worker &w)
         for (OpItem &op : local)
             dispatchOp(w, op);
 
-        // Deadline flush: commit an underfilled batch rather than
-        // keep its acks hostage to future traffic. The pipeline
-        // owns the deadline bookkeeping (engine/commit_pipeline.hh).
-        {
-            engine::CommitPipeline &pl = w.kv->pipeline(0);
-            const bool due = pl.commitDue(Clock::now());
-            if (pl.hasPending() && (stopping || due)) {
-                if (due) {
-                    pl.noteDeadlineCommit();
-                    obs::traceInstant(w.ring, "deadline_commit",
-                                      pl.lastCommitted() + 1);
-                }
-                w.kv->commitBatches(w.env);
+        // Commit an underfilled epoch once nothing is left to batch
+        // it with (the take drained the queue), or when its oldest
+        // ack outwaited the flush deadline under a queue that never
+        // drains. The pipeline owns the policy
+        // (engine/commit_pipeline.hh). Releasing an ack can stage
+        // new mutations -- a fast-path TXN's lock release unparks a
+        // waiting part or runs a deferred PUT -- so repeat until a
+        // pass neither commits nor releases anything.
+        for (;;) {
+            const engine::CommitTrigger why =
+                pl.commitTrigger(Clock::now(), drained);
+            if (why == engine::CommitTrigger::Deadline) {
+                pl.noteDeadlineCommit();
+                obs::traceInstant(w.ring, "deadline_commit",
+                                  pl.lastCommitted() + 1);
             }
+            if (why != engine::CommitTrigger::None)
+                w.kv->commitBatches(w.env);
+            if (releaseCommitted(w) == 0 &&
+                why == engine::CommitTrigger::None)
+                break;
         }
-        releaseCommitted(w);
 
         // Online scrub: strictly off the request path (only on
         // rounds whose queue drained empty) and rate-limited, so

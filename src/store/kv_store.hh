@@ -288,17 +288,19 @@ class KvStore
 
     /**
      * Ordered range read: up to @p limit records with key >= @p start,
-     * ascending, merged across every shard's ordered index. Each key
-     * is resolved through get(), so a scan observes exactly the state
+     * ascending, merged across every shard's ordered index. Values
+     * come from the index, which mutate() keeps at the latest staged
+     * value of every live key, so a scan observes exactly the state
      * point reads observe -- staged (unfolded) puts and deletes
-     * included -- and crash consistency still comes entirely from the
-     * journal checksums, never from the index itself. Whole-scan
+     * included -- without a table probe per record. Crash consistency
+     * still comes entirely from the journal checksums: recover()
+     * rebuilds the index from the validated table. Whole-scan
      * latency and returned-record count land in shard 0's scanNs /
      * scanLen histograms (exactly per-shard for the server's
      * single-shard worker stores).
      */
     std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    scan(Env &env, std::uint64_t start, std::size_t limit)
+    scan(Env &, std::uint64_t start, std::size_t limit)
     {
         obs::ScopedTimer timer(obs_[0].scanNs);
         std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
@@ -323,12 +325,9 @@ class KvStore
             }
             if (best < 0)
                 break;
-            cur[std::size_t(best)].advance();
-            // The index tracks staged deletes eagerly, so a key it
-            // yields should always resolve; skip defensively if the
-            // backend disagrees rather than emit a phantom.
-            if (const auto v = get(env, bestKey))
-                out.emplace_back(bestKey, *v);
+            auto &c = cur[std::size_t(best)];
+            out.emplace_back(bestKey, c.value());
+            c.advance();
         }
         obs_[0].scanLen.record(out.size());
         return out;
@@ -410,7 +409,7 @@ class KvStore
             const KvSlot &slot = table_.slot(i);
             if (slot.key <= maxUserKey)
                 index_[std::size_t(shardIndex(slot.key))].insert(
-                    slot.key);
+                    slot.key, slot.value);
         }
         return rep;
     }
@@ -520,11 +519,11 @@ class KvStore
             obs_[std::size_t(sh)].stageNs.recordExemplar(dt, traceId);
         // Mirror the mutation into the shard's ordered index AFTER it
         // is staged (a simulated crash inside stage() aborts before
-        // the index update; recover() rebuilds it regardless). Erase
-        // on delete keeps scans in lockstep with get()'s staged-delete
-        // visibility.
+        // the index update; recover() rebuilds it regardless). The
+        // index holds the staged value and erases on delete, so scans
+        // stay in lockstep with get()'s staged visibility.
         if (op == JOp::Put)
-            index_[std::size_t(sh)].insert(key);
+            index_[std::size_t(sh)].insert(key, value);
         else
             index_[std::size_t(sh)].erase(key);
         return epoch;

@@ -78,8 +78,9 @@ struct StoreConfig
 
     /**
      * Commit an underfilled batch once its oldest pending
-     * acknowledgement has waited this long (engine CommitPolicy;
-     * consulted only by callers that schedule acks, like lp::server).
+     * acknowledgement has waited this long, even if the owner's
+     * queue never drains (engine CommitPolicy; consulted only by
+     * callers that schedule acks, like lp::server).
      */
     std::uint64_t flushDeadlineUs = 2000;
 };

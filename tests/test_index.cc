@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for lp::index::OrderedIndex and its KvStore integration:
- * ordered-set semantics against std::set under a randomized op
- * stream, lowerBound/first cursor behavior, erase/limbo/reclaim
- * memory accounting, the single-writer/multi-reader contract under
- * a thread stress (the ThreadSanitizer target), and end-to-end
- * KvStore::scan on every backend -- cross-shard merge order,
- * staged-delete visibility, and scan/snapshot agreement.
+ * ordered-map semantics against std::map under a randomized op
+ * stream, lowerBound/first cursor behavior, value updates,
+ * erase/limbo/reclaim memory accounting, the single-writer/
+ * multi-reader contract under a thread stress (the ThreadSanitizer
+ * target, values included), and end-to-end KvStore::scan on every
+ * backend -- cross-shard merge order, staged-delete visibility, and
+ * scan/get agreement across folds, checkpoints and recovery.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <atomic>
 #include <map>
 #include <random>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -43,7 +43,7 @@ allKeys(const OrderedIndex &idx)
 TEST(OrderedIndex, MatchesStdSetUnderRandomOps)
 {
     OrderedIndex idx;
-    std::set<std::uint64_t> model;
+    std::map<std::uint64_t, std::uint64_t> model;
     std::mt19937_64 rng(20260807);
 
     for (int i = 0; i < 20000; ++i) {
@@ -52,8 +52,9 @@ TEST(OrderedIndex, MatchesStdSetUnderRandomOps)
             idx.erase(key);
             model.erase(key);
         } else {
-            idx.insert(key);
-            model.insert(key);
+            const std::uint64_t value = rng();
+            idx.insert(key, value);
+            model[key] = value;
         }
         ASSERT_EQ(idx.entries(), model.size());
     }
@@ -61,8 +62,9 @@ TEST(OrderedIndex, MatchesStdSetUnderRandomOps)
     const auto keys = allKeys(idx);
     ASSERT_EQ(keys.size(), model.size());
     auto it = model.begin();
-    for (const std::uint64_t k : keys) {
-        EXPECT_EQ(k, *it);
+    for (auto c = idx.first(); c.valid(); c.advance()) {
+        EXPECT_EQ(c.key(), it->first);
+        EXPECT_EQ(c.value(), it->second);
         ++it;
     }
     for (std::uint64_t k = 0; k < 4096; k += 17)
@@ -73,10 +75,12 @@ TEST(OrderedIndex, LowerBoundSemantics)
 {
     OrderedIndex idx;
     for (const std::uint64_t k : {10u, 20u, 30u, 40u})
-        idx.insert(k);
+        idx.insert(k, k + 1);
 
     ASSERT_TRUE(idx.first().valid());
     EXPECT_EQ(idx.first().key(), 10u);
+    EXPECT_EQ(idx.first().value(), 11u);
+    EXPECT_EQ(idx.lowerBound(11).value(), 21u);
 
     EXPECT_EQ(idx.lowerBound(0).key(), 10u);    // before everything
     EXPECT_EQ(idx.lowerBound(10).key(), 10u);   // exact hit
@@ -94,11 +98,12 @@ TEST(OrderedIndex, LowerBoundSemantics)
 TEST(OrderedIndex, DuplicateInsertAndAbsentEraseAreNoops)
 {
     OrderedIndex idx;
-    idx.insert(7);
+    idx.insert(7, 1);
     const std::uint64_t bytes = idx.residentBytes();
-    idx.insert(7);
+    idx.insert(7, 2);
     EXPECT_EQ(idx.entries(), 1u);
     EXPECT_EQ(idx.residentBytes(), bytes);  // no second node allocated
+    EXPECT_EQ(idx.lowerBound(7).value(), 2u);  // the value updates
 
     idx.erase(123456);  // absent
     EXPECT_EQ(idx.entries(), 1u);
@@ -112,7 +117,7 @@ TEST(OrderedIndex, EraseLimboReclaimAccounting)
     EXPECT_EQ(headBytes, sizeof(OrderedIndexNode));
 
     for (std::uint64_t k = 0; k < 100; ++k)
-        idx.insert(k);
+        idx.insert(k, k);
     const std::uint64_t fullBytes = idx.residentBytes();
     EXPECT_EQ(fullBytes, headBytes + 100 * sizeof(OrderedIndexNode));
 
@@ -134,22 +139,24 @@ TEST(OrderedIndex, EraseLimboReclaimAccounting)
     EXPECT_FALSE(idx.first().valid());
 
     // The index must stay usable after clear().
-    idx.insert(5);
+    idx.insert(5, 5);
     EXPECT_TRUE(idx.contains(5));
 }
 
 /**
- * The TSan target: one writer inserting and erasing while reader
- * threads traverse. Readers assert strictly ascending keys on every
- * walk -- a torn publish or a reader-visible free would show up here
- * (and as a data-race report under -fsanitize=thread). reclaim() only
- * runs after the readers have joined, per the quiesce contract.
+ * The TSan target: one writer inserting, updating and erasing while
+ * reader threads traverse. Readers assert strictly ascending keys on
+ * every walk, and that each value belongs to its key (the writer
+ * stores key * 1000 + a generation) -- a torn publish, an unordered
+ * value update or a reader-visible free would show up here (and as a
+ * data-race report under -fsanitize=thread). reclaim() only runs
+ * after the readers have joined, per the quiesce contract.
  */
 TEST(OrderedIndex, ConcurrentReadersSeeOrderedKeys)
 {
     OrderedIndex idx;
     for (std::uint64_t k = 0; k < 512; k += 2)
-        idx.insert(k * 8);
+        idx.insert(k * 8, k * 8 * 1000);
 
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> violations{0};
@@ -166,6 +173,8 @@ TEST(OrderedIndex, ConcurrentReadersSeeOrderedKeys)
                     const std::uint64_t k = c.key();
                     if (started && k <= prev)
                         violations.fetch_add(1);
+                    if (c.value() / 1000 != k)
+                        violations.fetch_add(1);
                     prev = k;
                     started = true;
                 }
@@ -177,7 +186,7 @@ TEST(OrderedIndex, ConcurrentReadersSeeOrderedKeys)
     for (int i = 0; i < 60000; ++i) {
         const std::uint64_t key = (rng() % 512) * 8;
         if (rng() % 2 == 0)
-            idx.insert(key);
+            idx.insert(key, key * 1000 + std::uint64_t(i % 1000));
         else
             idx.erase(key);
     }
@@ -288,6 +297,59 @@ TEST_P(ScanBackends, ScanSeesStagedMutationsLikeGet)
     EXPECT_EQ(out.size(), 9u);
     for (const auto &[k, v] : out)
         EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(v));
+
+    // Scan values come from the index, so they must keep matching
+    // get() -- and the golden map -- whatever moved the table: folds
+    // applying staged deltas, a checkpoint, and a recovery rebuild.
+    std::map<std::uint64_t, std::uint64_t> golden = seen;
+    const auto agrees = [&](const char *when) {
+        const auto all = store.scan(env, 0, 4096);
+        EXPECT_EQ(all.size(), golden.size()) << when;
+        auto g = golden.begin();
+        for (const auto &[k, v] : all) {
+            ASSERT_NE(g, golden.end()) << when;
+            EXPECT_EQ(k, g->first) << when;
+            EXPECT_EQ(v, g->second) << when;
+            EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(v))
+                << when << " key " << k;
+            ++g;
+        }
+    };
+    const std::uint64_t foldsBefore = [&] {
+        std::uint64_t f = 0;
+        for (int s = 0; s < scfg.shards; ++s)
+            f += store.pipeline(s).counters().folds;
+        return f;
+    }();
+    std::mt19937_64 rng(29);
+    for (int i = 0; i < 400; ++i) {
+        const std::uint64_t k = 100 + rng() % 40;
+        if (rng() % 5 == 0) {
+            store.del(env, k);
+            golden.erase(k);
+        } else {
+            const std::uint64_t v = rng() % 100000;
+            store.put(env, k, v);
+            golden[k] = v;
+        }
+        if (i % 50 == 0)
+            agrees("mid-stream");
+    }
+    std::uint64_t foldsAfter = 0;
+    for (int s = 0; s < scfg.shards; ++s)
+        foldsAfter += store.pipeline(s).counters().folds;
+    if (GetParam() == Backend::Lp) {
+        EXPECT_GT(foldsAfter, foldsBefore) << "no fold ran";
+    }
+    agrees("after folds");
+
+    store.put(env, 200, 1);  // staged into a still-open epoch
+    golden[200] = 1;
+    store.checkpoint(env);
+    agrees("after checkpoint");
+
+    store.recover(env);
+    agrees("after recover");
 }
 
 TEST_P(ScanBackends, RecoveryRebuildAgreesWithPointGets)

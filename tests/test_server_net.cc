@@ -355,6 +355,11 @@ TEST_F(ServerNet, DribbledRequestsEveryOpcode)
         // Per-shard scan lengths, raw like writev_batch.
         EXPECT_NE(r->body.find("lp_scan_len_count{shard=\"0\"}"),
                   std::string::npos);
+        // Ops per committed epoch, raw counts as well.
+        EXPECT_NE(r->body.find("lp_commit_batch_ops_count{shard=\"0\"}"),
+                  std::string::npos);
+        EXPECT_NE(r->body.find("lp_commit_batch_ops_bucket{shard=\"0\""),
+                  std::string::npos);
     }
 
     ::close(fd);

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -149,38 +150,170 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ServerTxnBackends,
                              return store::backendName(info.param);
                          });
 
+class ServerDrainCommit
+    : public ::testing::TestWithParam<store::Backend>
+{
+};
+
 /**
- * Deterministic wait-die abort: a fast-path transaction holds its
- * write locks until its epoch commits, which a huge flush deadline
- * pins far in the future; a second (younger) transaction on the same
- * key must die with Status::Aborted, and a backoff client must count
- * the abort and eventually commit once the first ack releases.
+ * Acks are released when a worker's queue drains, not at the flush
+ * deadline: with a 10 s deadline on the batching backends, a lone
+ * PUT and a lone fast-path TXN each come back well inside 1 s.
+ */
+TEST_P(ServerDrainCommit, LoneWritesBeatALongDeadline)
+{
+    const std::string dir = makeTempDir();
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.backend = GetParam();
+    cfg.flushDeadlineUs = 10000000;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    connectToServer(c, dir);
+    using Ms = std::chrono::milliseconds;
+    const auto elapsed = [](std::chrono::steady_clock::time_point t) {
+        return std::chrono::duration_cast<Ms>(
+            std::chrono::steady_clock::now() - t);
+    };
+
+    auto t0 = std::chrono::steady_clock::now();
+    const auto p = c.put(5, 50, 10000);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->status, Status::Ok);
+    EXPECT_LT(elapsed(t0), Ms(1000)) << "PUT ack waited for the deadline";
+
+    // One key: a single-shard (fast-path) transaction.
+    t0 = std::chrono::steady_clock::now();
+    const auto t = c.txn({top(TxnOp::Kind::Add, 5, 1)}, 10000);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->status, Status::Ok);
+    EXPECT_LT(elapsed(t0), Ms(1000)) << "TXN ack waited for the deadline";
+
+    const auto g = c.get(5, 10000);
+    ASSERT_TRUE(g && g->status == Status::Ok);
+    EXPECT_EQ(g->value, 51u);
+    srv.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchingBackends, ServerDrainCommit,
+                         ::testing::Values(store::Backend::Lp,
+                                           store::Backend::Wal),
+                         [](const auto &info) {
+                             return store::backendName(info.param);
+                         });
+
+/** @p n keys routed to shard @p shard of 2, from 1000 up. */
+std::vector<std::uint64_t>
+keysOnShard(int shard, std::size_t n)
+{
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1000; keys.size() < n; ++k)
+        if (store::shardOfKey(k, 2) == shard)
+            keys.push_back(k);
+    return keys;
+}
+
+/** @p frames full BATCH frames of puts over @p keys, ids from
+ *  @p firstId: 4096 puts each, a backlog its worker needs a few
+ *  milliseconds per frame to work off. */
+std::vector<Request>
+batchBacklog(const std::vector<std::uint64_t> &keys, int frames,
+             std::uint64_t firstId)
+{
+    std::vector<Request> backlog(static_cast<std::size_t>(frames));
+    for (std::size_t b = 0; b < backlog.size(); ++b) {
+        backlog[b].op = Op::Batch;
+        backlog[b].id = firstId + b;
+        for (std::size_t i = 0; i < maxBatchOps; ++i)
+            backlog[b].batch.push_back(
+                BatchOp{true, keys[i % keys.size()], i});
+    }
+    return backlog;
+}
+
+/**
+ * Hold @p key's write lock on its shard (of 2) by contention, not a
+ * timer. @p loader queues 16 BATCH frames (64k puts) on the other
+ * shard; then @p holder starts a transaction that puts @p key =
+ * @p value and also writes a key on the other shard. It prepares on
+ * @p key's shard at once, but its decision -- and the lock release
+ * -- wait for the other shard's vote behind the backlog, tens of
+ * milliseconds. Returns once the lock is held; the transaction's
+ * reply (id 1) and the loader's 16 replies come later.
+ */
+void
+holdLockBehindBacklog(Client &loader, Client &holder, std::uint64_t key,
+                      std::uint64_t value)
+{
+    const auto away = keysOnShard(1 - store::shardOfKey(key, 2), 64);
+    ASSERT_TRUE(loader.sendRequests(batchBacklog(away, 16, 100)));
+
+    // A GET of the key follows the transaction on the same
+    // connection. The acceptor decodes one connection's frames in
+    // order and the key's worker runs its queue in order, so once
+    // the GET is answered the transaction holds its (older) id and
+    // the write lock. A prepared write is invisible to point reads,
+    // so the GET does not wait for it.
+    Request r;
+    r.op = Op::Txn;
+    r.id = 1;
+    r.txn = {top(TxnOp::Kind::Put, key, value),
+             top(TxnOp::Kind::Put, away[0], 1)};
+    Request probe;
+    probe.op = Op::Get;
+    probe.id = 2;
+    probe.key = key;
+    ASSERT_TRUE(holder.sendRequests({r, probe}));
+    const auto first = holder.recvResponse(10000);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_EQ(first->id, 2u)
+        << "the transaction committed before the backlog drained";
+}
+
+/** Collect the held transaction's and the backlog's replies. */
+void
+finishHeldLock(Client &loader, Client &holder)
+{
+    const auto held = holder.recvResponse(10000);
+    ASSERT_TRUE(held.has_value());
+    EXPECT_EQ(held->id, 1u);
+    EXPECT_EQ(held->status, Status::Ok);
+    for (int b = 0; b < 16; ++b) {
+        const auto done = loader.recvResponse(10000);
+        ASSERT_TRUE(done.has_value());
+        EXPECT_EQ(done->status, Status::Ok);
+    }
+}
+
+/**
+ * Wait-die abort under contention: while a cross-shard transaction
+ * holds key 42's write lock (holdLockBehindBacklog), a younger
+ * transaction on 42 must die with Status::Aborted, and a backoff
+ * client must count the abort and commit once the backlog is worked
+ * off and the decision releases the lock.
  */
 TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
 {
     const std::string dir = makeTempDir();
     ServerConfig cfg;
     cfg.dataDir = dir;
-    cfg.shards = 1;
+    cfg.shards = 2;
     cfg.backend = store::Backend::Lp;
-    cfg.batchOps = 64;
-    cfg.flushDeadlineUs = 1500000;  // locks held ~1.5s
     cfg.quiet = true;
     Server srv(cfg);
     srv.start();
 
-    Client holder, contender;
+    Client loader, holder, contender;
+    connectToServer(loader, dir);
     connectToServer(holder, dir);
     connectToServer(contender, dir);
-
-    // The holder's txn stages one write and then waits for its epoch;
-    // send without receiving so the lock window stays open.
-    Request r;
-    r.op = Op::Txn;
-    r.id = 1;
-    r.txn = {top(TxnOp::Kind::Put, 42, 7)};
-    ASSERT_TRUE(holder.sendRequest(r));
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    holdLockBehindBacklog(loader, holder, 42, 7);
+    if (HasFatalFailure())
+        return;
 
     // Younger txn on the same key: wait-die says die.
     auto aborted = contender.txn({top(TxnOp::Kind::Add, 42, 1)});
@@ -188,24 +321,81 @@ TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
     EXPECT_EQ(aborted->status, Status::Aborted);
 
     // Backoff path: first attempt aborts again (still inside the
-    // window), later ones land after the deadline flush releases.
+    // window), later ones land after the decision releases the lock.
     RetryPolicy policy;
     policy.maxAttempts = 40;
-    policy.baseDelayUs = 50000;
+    policy.baseDelayUs = 20000;
     policy.capDelayUs = 200000;
     auto res = contender.txnBackoff({top(TxnOp::Kind::Add, 42, 1)},
                                     policy, 5000);
     ASSERT_TRUE(res.has_value());
     EXPECT_EQ(res->status, Status::Ok);
     EXPECT_GE(contender.retryCounters().aborts, 1u);
-
-    const auto held = holder.recvResponse(10000);
-    ASSERT_TRUE(held.has_value());
-    EXPECT_EQ(held->status, Status::Ok);
+    finishHeldLock(loader, holder);
 
     const auto g = contender.get(42);
     ASSERT_TRUE(g && g->status == Status::Ok);
     EXPECT_EQ(g->value, 8u);  // 7 put + 1 add
+    srv.stop();
+}
+
+/**
+ * Releasing an ack can stage new work, and the worker must commit
+ * that too before it idles. A transaction prepared on key 42's shard
+ * (holdLockBehindBacklog) makes plain writes to any write-locked key
+ * there wait. One write then sends a BATCH on that shard, a
+ * fast-path transaction putting key b, and a PUT of b: the PUT
+ * defers behind the transaction's lock, and runs -- staging a new
+ * mutation -- only when the transaction's ack is released after the
+ * queue drained. Both must be acked, in order.
+ */
+TEST(ServerTxnDrain, DeferredPutRestartedByAnAckCommits)
+{
+    const std::string dir = makeTempDir();
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.backend = store::Backend::Lp;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    Client loader, holder, c;
+    connectToServer(loader, dir);
+    connectToServer(holder, dir);
+    connectToServer(c, dir);
+    holdLockBehindBacklog(loader, holder, 42, 7);
+    if (HasFatalFailure())
+        return;
+
+    const int shard = store::shardOfKey(42, 2);
+    const auto near = keysOnShard(shard, 65);
+    const std::uint64_t b = near[64];
+    std::vector<Request> burst =
+        batchBacklog({near.begin(), near.begin() + 64}, 1, 10);
+    Request t;
+    t.op = Op::Txn;
+    t.id = 11;
+    t.txn = {top(TxnOp::Kind::Put, b, 1)};
+    Request p;
+    p.op = Op::Put;
+    p.id = 12;
+    p.key = b;
+    p.value = 2;
+    burst.push_back(t);
+    burst.push_back(p);
+    ASSERT_TRUE(c.sendRequests(burst));
+    for (const std::uint64_t id : {10u, 11u, 12u}) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value()) << "no reply for id " << id;
+        EXPECT_EQ(r->id, id);
+        EXPECT_EQ(r->status, Status::Ok);
+    }
+    finishHeldLock(loader, holder);
+
+    const auto g = c.get(b, 10000);
+    ASSERT_TRUE(g && g->status == Status::Ok);
+    EXPECT_EQ(g->value, 2u);  // the PUT ran after the transaction
     srv.stop();
 }
 

@@ -195,8 +195,8 @@ serveUsage(const char *argv0)
         "  --capacity C    max live keys per shard   (default 16384)\n"
         "  --batch-ops B / --fold-batches F\n"
         "  --checksum parity|modular|adler32|combined|crc32\n"
-        "  --flush-deadline-us U  partial-batch commit deadline "
-        "(default 2000)\n"
+        "  --flush-deadline-us U  partial-batch commit deadline for a "
+        "queue that never drains (default 2000)\n"
         "  --max-inflight N   per-connection backpressure "
         "(default 256)\n"
         "  --max-conns N      connection cap         (default 256)\n"
