@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
 #include "engine/stat_names.hh"
@@ -73,6 +74,7 @@ main(int argc, char **argv)
     root.emplace("shards", scfg.shards);
     root.emplace("batch_ops", scfg.batchOps);
     root.emplace("fold_batches", scfg.foldBatches);
+    root.emplace("machine", bench::machineInfo());
 
     bool all_verified = true;
     for (bool zipf : dists) {
@@ -236,6 +238,67 @@ main(int argc, char **argv)
         table.print();
         std::printf("\n");
         root.emplace("unif_B_scaling", std::move(study));
+    }
+
+    // Epoch-size sweep, the store's analogue of the paper's Fig. 14
+    // region-size sweep: YCSB-A with B-op epochs and the fold window
+    // held at 2048 mutations per shard (foldBatches = 2048 / B), so
+    // only the per-epoch commit cost varies. Eager ignores B (every
+    // op is its own epoch) and is the one-write-per-mutation bar.
+    {
+        YcsbParams p = base;
+        p.mix = YcsbMix::A;
+        p.records = 16384;
+        p.ops = 200000;
+        StoreConfig sc;
+        sc.capacity = 65536;
+        sc.shards = 2;
+        const int foldWindow = 2048;
+
+        stats::JsonValue::Object sweep;
+        sweep.emplace("records", double(p.records));
+        sweep.emplace("ops", double(p.ops));
+        sweep.emplace("shards", sc.shards);
+        sweep.emplace("fold_window_mutations", foldWindow);
+        for (bool zipf : dists) {
+            p.zipfian = zipf;
+            stats::Table table(
+                {std::string("epoch size A/") + (zipf ? "zipf" : "unif"),
+                 "lp writes/mut", "eager writes/mut", "wal writes/mut",
+                 "lp Mops/s", "eager Mops/s", "wal Mops/s"});
+            stats::JsonValue::Object grid;
+            for (int batchOps : {1, 2, 4, 8, 16, 32}) {
+                sc.batchOps = batchOps;
+                sc.foldBatches = foldWindow / batchOps;
+                std::vector<std::string> wpm, mops;
+                stats::JsonValue::Object row;
+                for (Backend b : bench::kStoreBackends) {
+                    const auto out = runStoreYcsb(b, sc, p, mcfg);
+                    all_verified = all_verified && out.verified;
+                    wpm.push_back(
+                        stats::Table::num(out.writesPerMutation, 3));
+                    mops.push_back(
+                        stats::Table::num(out.opsPerSec / 1e6, 2));
+                    stats::JsonValue::Object entry;
+                    entry.emplace("writes_per_mutation",
+                                  out.writesPerMutation);
+                    entry.emplace("ops_per_sec", out.opsPerSec);
+                    entry.emplace("verified", out.verified);
+                    row.emplace(backendName(b), std::move(entry));
+                }
+                std::vector<std::string> cells = {
+                    "B = " + std::to_string(batchOps)};
+                cells.insert(cells.end(), wpm.begin(), wpm.end());
+                cells.insert(cells.end(), mops.begin(), mops.end());
+                table.addRow(std::move(cells));
+                grid.emplace("b" + std::to_string(batchOps),
+                             std::move(row));
+            }
+            table.print();
+            std::printf("\n");
+            sweep.emplace(zipf ? "zipf" : "unif", std::move(grid));
+        }
+        root.emplace("epoch_size_sensitivity", std::move(sweep));
     }
 
     // Online scrub overhead on YCSB-A: the same run with the server's

@@ -4,8 +4,8 @@
  * store (docs/engine_design.md is the narrative version).
  *
  * A backend is the policy that makes mutations durable. It owns the
- * per-shard persistent structures its discipline needs (journal,
- * checksum digests, WAL, metadata blocks) and mutates the shared
+ * per-shard persistent structures its discipline needs (journal
+ * with its batch digests, WAL, metadata blocks) and mutates the shared
  * SlotTable through the StoreContext; epoch numbering and
  * batch/fold/deadline accounting are delegated to the per-shard
  * engine::CommitPipeline so the same scheduling drives the store and
@@ -119,10 +119,6 @@ struct FaultSurface
     const void *journal = nullptr;       ///< journal record buffer
     std::size_t journalBytes = 0;
     std::size_t sealedBytes = 0;         ///< sealed journal prefix
-    const void *digests = nullptr;       ///< primary checksum table
-    std::size_t digestBytes = 0;
-    const void *digestReplica = nullptr; ///< replica checksum table
-    std::size_t digestReplicaBytes = 0;
     const void *parity = nullptr;        ///< XOR parity blocks
     std::size_t parityBytes = 0;
     const void *parityHashes = nullptr;  ///< region fingerprints
@@ -215,20 +211,6 @@ class PersistencyBackend
     {
         (void)shard;
         (void)out;
-    }
-
-    /**
-     * Address of the PRIMARY digest slot holding (@p shard,
-     * @p epoch)'s batch checksum, or null for backends without one.
-     * Fault-injection aid: lets the corruption matrix rot exactly
-     * one epoch's digest instead of spraying the table.
-     */
-    virtual const void *
-    digestSlotAddr(int shard, std::uint64_t epoch) const
-    {
-        (void)shard;
-        (void)epoch;
-        return nullptr;
     }
 
     /** Where this shard's media-protected structures live. */

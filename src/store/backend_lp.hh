@@ -5,22 +5,22 @@
  * Mutations append journal records and update a running checksum
  * with PLAIN STORES -- no flush, no fence. Every batchOps mutations
  * close an epoch: the batch's digest is stored (again lazily) into
- * the shared KeyedChecksumTable, exactly the Figure 8 region-commit
- * idiom. Dirty journal and digest lines drain to NVMM by natural
- * cache evictions. Every foldBatches committed batches the shard
- * FOLDS: journal and digests are pinned with flushes + one fence,
- * the coalesced last-op-per-key effects are applied to the table
- * with Eager Persistency, and the shard's durable watermark
- * (ShardMeta::foldedEpoch) advances. The fold is the Section VI-A
- * periodic flush: it bounds journal space and recovery replay
- * length.
+ * the batch's own journal header, exactly the Figure 8 region-commit
+ * idiom with the checksum co-located with its region. Dirty journal
+ * lines drain to NVMM by natural cache evictions. Every foldBatches
+ * committed batches the shard FOLDS: the journal is pinned with
+ * flushes + one fence, the coalesced last-op-per-key effects are
+ * applied to the table with Eager Persistency, and the shard's
+ * durable watermark (ShardMeta::foldedEpoch) advances. The fold is
+ * the Section VI-A periodic flush: it bounds journal space and
+ * recovery replay length.
  *
  * Why a journal at all? In-place lazy mutation of live table slots
  * is unsound: a plain store from an UNCOMMITTED batch may drain over
  * the only copy of committed data, and recovery -- which discards
  * the failed batch -- would have nothing to restore the slot from.
  * Lazy Persistency therefore only ever lazily writes APPEND-ONLY
- * bytes (journal records, digest slots) whose corruption is detected
+ * bytes (journal records and headers) whose corruption is detected
  * by the checksum and repaired by replay; the table itself is
  * written solely inside eager phases (fold, recovery), so a
  * committed table byte can never be clobbered by an uncommitted lazy
@@ -31,21 +31,21 @@
  * gets the heaviest protection: a repair::RegionParity instance per
  * shard fingerprints and XOR-folds every sealed 64B journal region
  * at commit time (plain stores -- they drain with the lines they
- * protect). Batch digests get a full REPLICA table written beside
- * the primary; recovery accepts a batch if either copy validates.
- * The shard superblock pair is the base class's. Crash tears and
- * media faults are disambiguated by the clean-shutdown flag
- * (store/layout.hh): recovery after a PROVEN clean shutdown runs
- * STRICT -- a validation failure there is a media fault, repaired
- * via parity or counted unrepairable (quarantine) -- while recovery
- * after a crash keeps the historical discard semantics and only
- * counts repairs the fingerprints prove.
+ * protect). Batch digests live in the journal headers, so the same
+ * parity covers them and they need no replica. The shard superblock
+ * pair is the base class's. Crash tears and media faults are
+ * disambiguated by the clean-shutdown flag (store/layout.hh):
+ * recovery after a PROVEN clean shutdown runs STRICT -- a
+ * validation failure there is a media fault, repaired via parity or
+ * counted unrepairable (quarantine) -- while recovery after a crash
+ * keeps the historical discard semantics and only counts repairs the
+ * fingerprints prove.
  *
  * Recovery. Per shard, arbitrate the superblock pair for the durable
  * foldedEpoch W and walk the journal from offset 0 expecting epochs
  * W+1, W+2, ... (the BatchJournal::replay walk): check the header
  * tag, recompute the digest over the records that actually reached
- * NVMM, and compare against the checksum-table pair. On the first
+ * NVMM, and compare against the digest in the header. On the first
  * validation failure the parity sweep runs once and the position is
  * retried. Accepted batches are replayed into the table with Eager
  * Persistency (Section III-E: recovery uses EP so it always makes
@@ -68,7 +68,6 @@
 #include <vector>
 
 #include "ep/pmem_ops.hh"
-#include "lp/keyed_table.hh"
 #include "obs/shard_obs.hh"
 #include "repair/parity.hh"
 #include "store/backend.hh"
@@ -87,13 +86,6 @@ class LpBackend : public PersistencyBackend<Env>
   public:
     LpBackend(const StoreContext<Env> &ctx, bool attach) : Base(ctx)
     {
-        window_ = epochWindowFor(cfg());
-        const std::size_t ckslots =
-            std::size_t(cfg().shards) * window_ * 2;
-        cktable_ = std::make_unique<core::KeyedChecksumTable>(
-            *ctx.arena, ckslots, attach);
-        ckreplica_ = std::make_unique<core::KeyedChecksumTable>(
-            *ctx.arena, ckslots, attach);
         const std::size_t jcap = journalCapacity(cfg());
         shards_.reserve(std::size_t(cfg().shards));
         for (int i = 0; i < cfg().shards; ++i) {
@@ -134,10 +126,10 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
     /**
-     * Close the open batch: seal the journal header into the digest
-     * and store the digest into BOTH checksum tables, then extend
-     * parity coverage over the newly sealed regions -- all with
-     * plain stores (the Figure 8 commit). No flush, no fence.
+     * Close the open batch: seal the journal header, which stores the
+     * batch digest into it, then extend parity coverage over the
+     * newly sealed regions -- all with plain stores (the Figure 8
+     * commit). No flush, no fence.
      */
     void
     commitEpoch(Env &env, int shard) override
@@ -157,14 +149,6 @@ class LpBackend : public PersistencyBackend<Env>
         obs::ScopedTimer timer(ob ? &ob->commitNs : nullptr);
         sh.journal->seal(env, std::uint64_t(pl.stagedOps()), epoch,
                          sh.acc, ckCost());
-        const std::uint64_t ckey =
-            checksumEpochKey(shard, epoch, window_);
-        const std::size_t s = cktable_->claimSlot(ckey);
-        env.st(cktable_->keyPtr(s), ckey);
-        env.st(cktable_->digestPtr(s), sh.acc.value());
-        const std::size_t s2 = ckreplica_->claimSlot(ckey);
-        env.st(ckreplica_->keyPtr(s2), ckey);
-        env.st(ckreplica_->digestPtr(s2), sh.acc.value());
         sh.parity->cover(env, epoch, sh.journal->sealedBytes());
         pl.commitEpoch();
         env.onRegionCommit();
@@ -172,9 +156,9 @@ class LpBackend : public PersistencyBackend<Env>
 
     /**
      * Eager checkpoint of one shard (Section VI-A periodic flush):
-     * (a) pin the journal and this window's digests (both copies) in
-     *     NVMM, so every batch the fold applies is one recovery
-     *     would accept;
+     * (a) pin the journal (digests included, they live in the batch
+     *     headers) in NVMM, so every batch the fold applies is one
+     *     recovery would accept;
      * (b) apply the coalesced last op per key to the table with
      *     Eager Persistency -- one table write per DISTINCT key in
      *     the window, which is where LP's write savings over per-op
@@ -200,22 +184,8 @@ class LpBackend : public PersistencyBackend<Env>
         obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted());
         obs::ScopedTimer timer(ob ? &ob->foldNs : nullptr);
         sh.journal->flushAll(env);
-        std::vector<std::uintptr_t> blocks;
-        for (std::uint64_t e = pl.foldedEpoch() + 1;
-             e <= pl.lastCommitted(); ++e) {
-            const std::uint64_t ckey =
-                checksumEpochKey(shard, e, window_);
-            const std::size_t s = cktable_->findSlot(ckey);
-            LP_ASSERT(s != core::KeyedChecksumTable::npos,
-                      "committed digest missing");
-            blocks.push_back(ep::blockIndexOf(cktable_->keyPtr(s)));
-            const std::size_t s2 = ckreplica_->findSlot(ckey);
-            if (s2 != core::KeyedChecksumTable::npos)
-                blocks.push_back(
-                    ep::blockIndexOf(ckreplica_->keyPtr(s2)));
-        }
-        ep::flushBlocksOnce(env, blocks);
         env.sfence();
+        std::vector<std::uintptr_t> blocks;
         for (const auto &[key, dv] : sh.delta) {
             KvSlot *slot =
                 table().applyOp(env, dv.isPut, key, dv.value);
@@ -270,28 +240,12 @@ class LpBackend : public PersistencyBackend<Env>
             }
             return res.repaired > 0;
         };
-        // A batch is committed if EITHER digest copy validates; a
-        // primary miss with a replica hit is only provably a media
-        // fault in strict mode (after a crash it is just a line that
-        // had not drained yet).
-        auto matches = [&](std::uint64_t e, std::uint64_t digest) {
-            const std::uint64_t ckey =
-                checksumEpochKey(shard, e, window_);
-            if (cktable_->matches(ckey, digest))
-                return true;
-            if (ckreplica_->matches(ckey, digest)) {
-                if (strict)
-                    this->noteRepaired(shard, &rep, 1);
-                return true;
-            }
-            return false;
-        };
         // Committed batches repair the table with Eager Persistency
         // (Section III-E); like the fold, all of a batch's stores
         // execute first, then one flush per distinct block.
         std::vector<std::uintptr_t> blocks;
         const std::uint64_t committed = sh.journal->replay(
-            env, cfg(), base, matches,
+            env, cfg(), base,
             [&](JEntry &je) {
                 KvSlot *slot =
                     table().applyOp(env, je.op() == JOp::Put,
@@ -323,14 +277,8 @@ class LpBackend : public PersistencyBackend<Env>
         auto &pl = pipeline(shard);
         if (pl.epochOpen())
             return false;  // commit or checkpoint before auditing
-        return sh.journal->auditCommitted(
-            env, cfg(), pl.foldedEpoch(), pl.lastCommitted(),
-            [&](std::uint64_t e, std::uint64_t digest) {
-                const std::uint64_t ckey =
-                    checksumEpochKey(shard, e, window_);
-                return cktable_->matches(ckey, digest) ||
-                       ckreplica_->matches(ckey, digest);
-            });
+        return sh.journal->auditCommitted(env, cfg(), pl.foldedEpoch(),
+                                          pl.lastCommitted());
     }
 
     /**
@@ -400,16 +348,6 @@ class LpBackend : public PersistencyBackend<Env>
         return done;
     }
 
-    const void *
-    digestSlotAddr(int shard, std::uint64_t epoch) const override
-    {
-        const std::size_t s = cktable_->findSlot(
-            checksumEpochKey(shard, epoch, window_));
-        if (s == core::KeyedChecksumTable::npos)
-            return nullptr;
-        return cktable_->keyPtr(s);
-    }
-
     FaultSurface
     faultSurface(int shard) const override
     {
@@ -418,10 +356,6 @@ class LpBackend : public PersistencyBackend<Env>
         fs.journal = sh.journal->data();
         fs.journalBytes = sh.journal->dataBytes();
         fs.sealedBytes = sh.journal->sealedBytes();
-        fs.digests = cktable_->keyPtr(0);
-        fs.digestBytes = cktable_->bytes();
-        fs.digestReplica = ckreplica_->keyPtr(0);
-        fs.digestReplicaBytes = ckreplica_->bytes();
         fs.parity = sh.parity->parityBlocks();
         fs.parityBytes = sh.parity->parityBytes();
         fs.parityHashes = sh.parity->hashes();
@@ -500,9 +434,6 @@ class LpBackend : public PersistencyBackend<Env>
         return core::ChecksumAcc::updateCost(cfg().checksum);
     }
 
-    std::uint64_t window_ = 0;
-    std::unique_ptr<core::KeyedChecksumTable> cktable_;
-    std::unique_ptr<core::KeyedChecksumTable> ckreplica_;
     std::vector<Shard> shards_;
 };
 

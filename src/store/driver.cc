@@ -370,14 +370,14 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
 {
     using kernels::SimEnv;
 
-    // The eager and WAL backends own no journal, digests, or parity;
-    // their media-protected structure is the superblock pair, so the
+    // The eager and WAL backends own no journal or parity; their
+    // media-protected structure is the superblock pair, so the
     // LP-specific sites degrade onto it -- keeping the matrix total.
     FaultSite site = spec.site;
     if (b != Backend::Lp) {
         switch (site) {
           case FaultSite::JournalPayload:
-          case FaultSite::ChecksumSlot:
+          case FaultSite::HeaderDigest:
             site = FaultSite::SuperblockPrimary;
             break;
           case FaultSite::JournalTail:
@@ -507,11 +507,11 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
             out.injected = true;
         }
         break;
-      case FaultSite::ChecksumSlot:
-        // Digest word of epoch 1's PRIMARY slot; the replica slot
-        // must carry the batch.
-        if (const void *slot = store.digestSlotAddr(0, 1)) {
-            inj.flipBitAt(slot, 8, 5);
+      case FaultSite::HeaderDigest:
+        // Byte 16 of region 0: epoch 1's batch-header digest word.
+        // Parity must restore it, or the batch would look torn.
+        if (coveredBytes >= repair::regionBytes) {
+            inj.flipBitAt(fs.journal, 16, 5);
             out.injected = true;
         }
         break;
@@ -538,7 +538,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     }
 
     if (out.viaScrub) {
-        // The journal and digests still validate, so recovery would
+        // The journal still validates, so recovery would
         // never look at the parity blocks; the online scrub is what
         // finds and rewrites them. Walk one full pass.
         while (store.scrubStep(env, 0, 64) > 0) {

@@ -283,7 +283,7 @@ enum class FaultSite
     JournalPayload,     ///< one parity-covered sealed journal region
     JournalTail,        ///< sealed bytes past parity coverage (live head)
     JournalMultiRegion, ///< two regions of one parity group
-    ChecksumSlot,       ///< primary digest slot of epoch 1
+    HeaderDigest,       ///< digest word of epoch 1's journal header
     ParityPage,         ///< a parity block itself (found by scrub)
     SuperblockPrimary,
     SuperblockReplica,

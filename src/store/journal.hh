@@ -12,12 +12,18 @@
  * from an earlier generation can never be mistaken for part of a
  * newer batch.
  *
+ * Each batch's digest lives in its own header (the value word),
+ * stored at seal: the commit dirties no line beyond the ones its
+ * records already dirty (InCLL's co-location, PAPERS.md). A torn or
+ * stale header fails the tag or digest check exactly as a missing
+ * digest would, and a rotted header digest is a media fault in the
+ * parity-covered journal, repaired like any other journal byte.
+ *
  * The journal owns the CURSORS (tail, open-batch header index) and
  * the store/checksum mechanics; epoch numbering and batch/fold
- * accounting are the CommitPipeline's (engine/commit_pipeline.hh),
- * and which epochs a digest lookup accepts is the LP backend's
- * (backend_lp.hh). Geometry helpers shared with arena budgeting are
- * non-template and live in journal.cc.
+ * accounting are the CommitPipeline's (engine/commit_pipeline.hh).
+ * The geometry helper shared with arena budgeting is non-template
+ * and lives in journal.cc.
  */
 
 #ifndef LP_STORE_JOURNAL_HH
@@ -37,7 +43,7 @@ namespace lp::store
 /** Journal record type, held in the low byte of JEntry::tag. */
 enum class JOp : std::uint8_t
 {
-    Header = 0,  ///< batch header: key = op count, value = epoch
+    Header = 0,  ///< batch header: key = op count, value = digest
     Put = 1,
     Del = 2,
 };
@@ -66,21 +72,6 @@ static_assert(sizeof(JEntry) == 24);
 
 /** Journal entry capacity for @p cfg: foldBatches + slack batches. */
 std::size_t journalCapacity(const StoreConfig &cfg);
-
-/**
- * Epoch-key wrap window of the LP checksum table for @p cfg: 4x the
- * fold period, far wider than the <= foldBatches + 2 epochs ever
- * live at once, so no two live epochs share a digest slot while the
- * table's occupancy stays bounded.
- */
-std::uint64_t epochWindowFor(const StoreConfig &cfg);
-
-/**
- * Checksum-table key of (@p shard, @p epoch) under wrap window
- * @p window (a power of two).
- */
-std::uint64_t checksumEpochKey(int shard, std::uint64_t epoch,
-                               std::uint64_t window);
 
 /**
  * One shard's batch journal: an append cursor over a fixed arena
@@ -121,8 +112,11 @@ class BatchJournal
     }
 
     /**
-     * Open a batch for @p epoch: append the header (its op count is
-     * filled at seal time) and reset @p acc for the batch digest.
+     * Open a batch for @p epoch: append the header (its op count and
+     * digest are filled at seal time) and reset @p acc for the batch
+     * digest. Clearing the digest word keeps a digest left at this
+     * offset by an earlier journal generation from standing for the
+     * new batch.
      */
     void
     open(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc)
@@ -131,8 +125,8 @@ class BatchJournal
         batchStart_ = tail_++;
         JEntry &h = buf_[batchStart_];
         env.st(&h.tag, JEntry::makeTag(JOp::Header, epoch));
-        env.st(&h.key, std::uint64_t{0});  // op count, filled at seal
-        env.st(&h.value, epoch);
+        env.st(&h.key, std::uint64_t{0});    // op count, filled at seal
+        env.st(&h.value, std::uint64_t{0});  // digest, filled at seal
         acc.reset();
         env.tick(4);
     }
@@ -157,19 +151,21 @@ class BatchJournal
     }
 
     /**
-     * Seal the open batch: finalize the header's op count and fold
-     * the header into the digest -- still plain stores; the caller
-     * publishes the digest to commit.
+     * Seal the open batch: finalize the header's op count, fold the
+     * header into the digest and store the digest into the header --
+     * still plain stores. The digest store is the commit.
      */
     void
     seal(Env &env, std::uint64_t count, std::uint64_t epoch,
          core::ChecksumAcc &acc, std::uint64_t ckCost)
     {
         LP_ASSERT(batchOpen(), "no open batch");
-        env.st(&buf_[batchStart_].key, count);
+        JEntry &h = buf_[batchStart_];
+        env.st(&h.key, count);
         acc.addWord(JEntry::makeTag(JOp::Header, epoch));
         acc.addWord(count);
         env.tick(2 * ckCost);
+        env.st(&h.value, acc.value());
         batchStart_ = npos;
     }
 
@@ -190,9 +186,8 @@ class BatchJournal
 
     /**
      * Recovery walk (see the recovery story in backend_lp.hh): from
-     * offset 0, expect epochs base+1, base+2, ...; recompute each
-     * batch's digest over what actually reached NVMM and ask
-     * @p matches(epoch, digest) to accept it. Accepted batches replay
+     * offset 0, expect epochs base+1, base+2, ... and accept each
+     * batch that checkBatch() validates. Accepted batches replay
      * through @p apply(JEntry&) per record, then @p batchDone() (the
      * backend's flush + fence). Stops at the first batch failing
      * validation -- appends are sequential, so durability is
@@ -203,61 +198,28 @@ class BatchJournal
      * header looks exactly like the clean end of the journal) it is
      * invoked once; if it reports that it changed anything, the
      * failing position is re-validated once before the failure is
-     * made final. Pass a `[]{ return false; }` thunk to opt out.
+     * made final.
      */
-    template <typename MatchFn, typename ApplyFn, typename DoneFn,
-              typename RepairFn>
+    template <typename ApplyFn, typename DoneFn, typename RepairFn>
     std::uint64_t
     replay(Env &env, const StoreConfig &cfg, std::uint64_t base,
-           MatchFn &&matches, ApplyFn &&apply, DoneFn &&batchDone,
-           RepairFn &&repairFn, RecoveryReport &rep)
+           ApplyFn &&apply, DoneFn &&batchDone, RepairFn &&repairFn,
+           RecoveryReport &rep)
     {
-        const std::uint64_t cost =
-            core::ChecksumAcc::updateCost(cfg.checksum);
         bool repairTried = false;
-        auto tryRepair = [&]() {
-            if (repairTried)
-                return false;
-            repairTried = true;
-            return repairFn();
-        };
         std::uint64_t e = base + 1;
         std::size_t pos = 0;
         while (pos < cap_) {
-            JEntry &h = buf_[pos];
-            if (env.ld(&h.tag) != JEntry::makeTag(JOp::Header, e)) {
-                if (tryRepair())
-                    continue;
-                break;
-            }
-            const std::uint64_t count = env.ld(&h.key);
-            if (count > std::uint64_t(cfg.batchOps) ||
-                pos + 1 + count > cap_) {
-                if (tryRepair())
-                    continue;
-                ++rep.batchesDiscarded;
-                break;
-            }
-            core::ChecksumAcc acc(cfg.checksum);
-            bool shapeOk = true;
-            for (std::uint64_t i = 1; i <= count; ++i) {
-                JEntry &je = buf_[pos + i];
-                const std::uint64_t t = env.ld(&je.tag);
-                acc.addWord(t);
-                acc.addWord(env.ld(&je.key));
-                acc.addWord(env.ld(&je.value));
-                env.tick(3 * cost);
-                if (t != JEntry::makeTag(JOp::Put, e) &&
-                    t != JEntry::makeTag(JOp::Del, e))
-                    shapeOk = false;
-            }
-            acc.addWord(JEntry::makeTag(JOp::Header, e));
-            acc.addWord(count);
-            env.tick(2 * cost);
-            if (!shapeOk || !matches(e, acc.value())) {
-                if (tryRepair())
-                    continue;
-                ++rep.batchesDiscarded;
+            std::uint64_t count = 0;
+            const BatchCheck c = checkBatch(env, cfg, pos, e, count);
+            if (c != BatchCheck::Valid) {
+                if (!repairTried) {
+                    repairTried = true;
+                    if (repairFn())
+                        continue;
+                }
+                if (c == BatchCheck::Torn)
+                    ++rep.batchesDiscarded;
                 break;
             }
             for (std::uint64_t i = 1; i <= count; ++i) {
@@ -272,64 +234,78 @@ class BatchJournal
         return e - 1;
     }
 
-    /** replay() without a media-repair hook (legacy callers). */
-    template <typename MatchFn, typename ApplyFn, typename DoneFn>
-    std::uint64_t
-    replay(Env &env, const StoreConfig &cfg, std::uint64_t base,
-           MatchFn &&matches, ApplyFn &&apply, DoneFn &&batchDone,
-           RecoveryReport &rep)
-    {
-        return replay(env, cfg, base, matches, apply, batchDone,
-                      [] { return false; }, rep);
-    }
-
     /**
      * Non-mutating audit of committed-but-unfolded batches (the
      * verify() hook): re-walk epochs base+1 .. last through the same
-     * validation as replay(), without applying anything. True iff
-     * every committed batch's digest still checks out against
-     * @p matches.
+     * checkBatch() validation as replay(), without applying
+     * anything. True iff every committed batch still validates.
      */
-    template <typename MatchFn>
     bool
     auditCommitted(Env &env, const StoreConfig &cfg,
-                   std::uint64_t base, std::uint64_t last,
-                   MatchFn &&matches)
+                   std::uint64_t base, std::uint64_t last)
     {
-        const std::uint64_t cost =
-            core::ChecksumAcc::updateCost(cfg.checksum);
-        std::uint64_t e = base + 1;
         std::size_t pos = 0;
-        while (e <= last) {
-            if (pos >= cap_)
-                return false;
-            JEntry &h = buf_[pos];
-            if (env.ld(&h.tag) != JEntry::makeTag(JOp::Header, e))
-                return false;
-            const std::uint64_t count = env.ld(&h.key);
-            if (count > std::uint64_t(cfg.batchOps) ||
-                pos + 1 + count > cap_)
-                return false;
-            core::ChecksumAcc acc(cfg.checksum);
-            for (std::uint64_t i = 1; i <= count; ++i) {
-                JEntry &je = buf_[pos + i];
-                acc.addWord(env.ld(&je.tag));
-                acc.addWord(env.ld(&je.key));
-                acc.addWord(env.ld(&je.value));
-                env.tick(3 * cost);
-            }
-            acc.addWord(JEntry::makeTag(JOp::Header, e));
-            acc.addWord(count);
-            env.tick(2 * cost);
-            if (!matches(e, acc.value()))
+        for (std::uint64_t e = base + 1; e <= last; ++e) {
+            std::uint64_t count = 0;
+            if (pos >= cap_ ||
+                checkBatch(env, cfg, pos, e, count) !=
+                    BatchCheck::Valid)
                 return false;
             pos += 1 + count;
-            ++e;
         }
         return true;
     }
 
   private:
+    /** Verdict of checkBatch() on one journal position. */
+    enum class BatchCheck
+    {
+        Valid,
+        NoHeader,  ///< no header of this epoch: the journal's end
+        Torn,      ///< header found, body or digest does not check
+    };
+
+    /**
+     * Validate the batch of epoch @p e at entry @p pos against what
+     * actually reached NVMM: the header tag, the op-count bound, every
+     * record's tag, and the digest recomputed over the records and
+     * header, compared with the one seal() stored in the header. On
+     * Valid, @p count is the batch's op count.
+     */
+    BatchCheck
+    checkBatch(Env &env, const StoreConfig &cfg, std::size_t pos,
+               std::uint64_t e, std::uint64_t &count)
+    {
+        const std::uint64_t cost =
+            core::ChecksumAcc::updateCost(cfg.checksum);
+        JEntry &h = buf_[pos];
+        if (env.ld(&h.tag) != JEntry::makeTag(JOp::Header, e))
+            return BatchCheck::NoHeader;
+        count = env.ld(&h.key);
+        if (count > std::uint64_t(cfg.batchOps) ||
+            pos + 1 + count > cap_)
+            return BatchCheck::Torn;
+        core::ChecksumAcc acc(cfg.checksum);
+        bool shapeOk = true;
+        for (std::uint64_t i = 1; i <= count; ++i) {
+            JEntry &je = buf_[pos + i];
+            const std::uint64_t t = env.ld(&je.tag);
+            acc.addWord(t);
+            acc.addWord(env.ld(&je.key));
+            acc.addWord(env.ld(&je.value));
+            env.tick(3 * cost);
+            if (t != JEntry::makeTag(JOp::Put, e) &&
+                t != JEntry::makeTag(JOp::Del, e))
+                shapeOk = false;
+        }
+        acc.addWord(JEntry::makeTag(JOp::Header, e));
+        acc.addWord(count);
+        env.tick(2 * cost);
+        if (!shapeOk || env.ld(&h.value) != acc.value())
+            return BatchCheck::Torn;
+        return BatchCheck::Valid;
+    }
+
     JEntry *buf_ = nullptr;
     std::size_t cap_ = 0;
     std::size_t tail_ = 0;

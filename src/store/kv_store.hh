@@ -201,13 +201,6 @@ class KvStore
         return backend_->faultSurface(shard);
     }
 
-    /** Primary digest-slot address of one epoch's batch (testing). */
-    const void *
-    digestSlotAddr(int shard, std::uint64_t epoch) const
-    {
-        return backend_->digestSlotAddr(shard, epoch);
-    }
-
     /**
      * One online-scrub step of @p shard: validate up to
      * @p maxRegions protected regions, repairing from parity where

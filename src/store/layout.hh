@@ -182,9 +182,9 @@ struct RecoveryReport
 
     /**
      * Media faults detected AND repaired during recovery: journal
-     * regions reconstructed from parity (fingerprint-verified),
-     * superblock copies restored from their replica, digests
-     * recomputed from fingerprint-verified journal bytes.
+     * regions, batch-header digests included, reconstructed from
+     * parity (fingerprint-verified), and superblock copies restored
+     * from their replica.
      */
     std::uint64_t mediaRepaired = 0;
 

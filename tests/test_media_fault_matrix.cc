@@ -6,7 +6,7 @@
  * online scrub pass -- and asserts the contract:
  *
  *  - single-region faults with a surviving redundant copy (parity,
- *    digest replica, superblock twin) are detected AND repaired with
+ *    superblock twin) are detected AND repaired with
  *    zero data loss;
  *  - provably-lost data (both superblock copies, two regions of one
  *    parity group, a sealed epoch past parity coverage) quarantines
@@ -55,7 +55,7 @@ expectRepaired(Backend b, FaultSite site)
     }
     switch (site) {
       case FaultSite::JournalPayload:    // parity reconstructs
-      case FaultSite::ChecksumSlot:      // replica digest carries it
+      case FaultSite::HeaderDigest:      // parity reconstructs
       case FaultSite::ParityPage:        // scrub recomputes parity
       case FaultSite::SuperblockPrimary: // twin carries it
       case FaultSite::SuperblockReplica:
@@ -123,7 +123,7 @@ TEST_P(MediaFaultMatrix, DetectsAndRepairsOrQuarantines)
 
 const FaultSite kSites[] = {
     FaultSite::JournalPayload,    FaultSite::JournalTail,
-    FaultSite::JournalMultiRegion, FaultSite::ChecksumSlot,
+    FaultSite::JournalMultiRegion, FaultSite::HeaderDigest,
     FaultSite::ParityPage,        FaultSite::SuperblockPrimary,
     FaultSite::SuperblockReplica, FaultSite::SuperblockBoth,
 };
@@ -135,7 +135,7 @@ siteName(FaultSite s)
       case FaultSite::JournalPayload:     return "JournalPayload";
       case FaultSite::JournalTail:        return "JournalTail";
       case FaultSite::JournalMultiRegion: return "JournalMultiRegion";
-      case FaultSite::ChecksumSlot:       return "ChecksumSlot";
+      case FaultSite::HeaderDigest:       return "HeaderDigest";
       case FaultSite::ParityPage:         return "ParityPage";
       case FaultSite::SuperblockPrimary:  return "SuperblockPrimary";
       case FaultSite::SuperblockReplica:  return "SuperblockReplica";

@@ -4,7 +4,8 @@
  * read-your-writes on every backend, golden-map equivalence after a
  * checkpoint, the SimEnv/NativeEnv identical-code guarantee, clean
  * recovery after a checkpoint, recovery idempotence (including a
- * crash injected *during* recovery), the YCSB generators, and the
+ * crash injected *during* recovery), the YCSB generators, the
+ * deterministic simulator cost of lpbench's simulated phase, and the
  * table occupancy guard.
  */
 
@@ -17,6 +18,7 @@
 #include "base/rng.hh"
 #include "kernels/env.hh"
 #include "kernels/workload.hh"
+#include "pmem/fault.hh"
 #include "store/driver.hh"
 #include "store/kv_store.hh"
 #include "store/ycsb.hh"
@@ -233,6 +235,44 @@ TEST(StoreRecovery, RecoverTwiceIsIdempotent)
 }
 
 /**
+ * The header digest is what rejects a batch whose record tags all
+ * check out: rot one value word in each of two journal regions of
+ * the first batch (one XOR parity group cannot restore both), crash,
+ * and recovery must discard that batch -- and everything after it --
+ * instead of replaying the rotted values.
+ */
+TEST(StoreRecovery, DigestRejectsRecordsParityCannotRestore)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    for (std::uint64_t i = 0; i < 2 * std::uint64_t(scfg.batchOps); ++i)
+        store.put(env, keyOfRecord(i, 3), 100 + i);
+    store.commitBatches(env);
+    ctx.arena.persistAll();
+
+    // Entry 1 (bytes 24-47) and entry 4 (96-119) are records of
+    // epoch 1; their value words sit in regions 0 and 1.
+    pmem::FaultInjector inj(ctx.arena);
+    const FaultSurface fs = store.faultSurface(0);
+    inj.flipBitAt(fs.journal, 1 * sizeof(JEntry) + 16, 2);
+    inj.flipBitAt(fs.journal, 4 * sizeof(JEntry) + 16, 2);
+
+    ctx.sched.clear();
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.committedEpochs[0], 0u);
+    EXPECT_EQ(rep.batchesReplayed, 0u);
+    EXPECT_EQ(rep.batchesDiscarded, 1u);
+    EXPECT_TRUE(store.snapshot().empty());
+}
+
+/**
  * A crash *during* recovery must be recoverable by simply running
  * recovery again (Section III-E: recovery uses Eager Persistency and
  * replay converges thanks to the single-copy probe invariant).
@@ -345,6 +385,77 @@ TEST(StoreConfigTest, ParseBackendRoundTrips)
 {
     for (Backend b : kBackends)
         EXPECT_EQ(parseBackend(backendName(b)), b);
+}
+
+/**
+ * lpbench's simulated phase (LP, one shard, 32-op epochs folded every
+ * 64, 16384 records, YCSB-A) on the paper's machine, shortened to
+ * 200k ops. The simulator is a pure function of its input, so these
+ * numbers move only when the store's persistent writes or executed
+ * work change.
+ */
+StoreRunResult
+runLpbenchSimPhase(bool zipfian, int batchOps, int foldBatches)
+{
+    StoreConfig scfg;
+    scfg.capacity = 65536;
+    scfg.shards = 1;
+    scfg.batchOps = batchOps;
+    scfg.foldBatches = foldBatches;
+    YcsbParams p;
+    p.records = 16384;
+    p.ops = 200000;
+    p.mix = YcsbMix::A;
+    p.zipfian = zipfian;
+    sim::MachineConfig mcfg;  // bench::paperMachine(1)
+    mcfg.numCores = 1;
+    mcfg.l1 = {16 * 1024, 8, 2};
+    mcfg.l2 = {128 * 1024, 8, 11};
+    mcfg.nvmmReadNs = 150.0;
+    mcfg.nvmmWriteNs = 300.0;
+    return runStoreYcsb(Backend::Lp, scfg, p, mcfg);
+}
+
+/**
+ * Gate on the deterministic simulator cost: NVMM writes per mutation
+ * and simulated cycles within +-0.5% of the recorded values. A
+ * change that moves them must re-record them here and say why in
+ * the BENCH files it regenerates.
+ */
+TEST(StoreSimCost, LpbenchPhaseWithinBand)
+{
+    struct Expect
+    {
+        bool zipfian;
+        double writesPerMutation;
+        double execCycles;
+    };
+    const Expect cases[] = {
+        {true, 0.87883, 42277253.0},
+        {false, 1.39065, 75825402.0},
+    };
+    for (const Expect &c : cases) {
+        const StoreRunResult out = runLpbenchSimPhase(c.zipfian, 32, 64);
+        const char *dist = c.zipfian ? "zipf" : "uniform";
+        EXPECT_TRUE(out.verified) << dist;
+        EXPECT_NEAR(out.writesPerMutation, c.writesPerMutation,
+                    0.005 * c.writesPerMutation)
+            << dist;
+        EXPECT_NEAR(out.execCycles, c.execCycles, 0.005 * c.execCycles)
+            << dist;
+    }
+}
+
+/**
+ * One-op epochs with the fold window kept at 2048 mutations: an epoch
+ * commit adds only its 24B journal header, so LP stays near eager's
+ * one write per mutation even when every op commits alone.
+ */
+TEST(StoreSimCost, SingleOpEpochsCostAtMostFourteenTenths)
+{
+    const StoreRunResult out = runLpbenchSimPhase(true, 1, 2048);
+    EXPECT_TRUE(out.verified);
+    EXPECT_LE(out.writesPerMutation, 1.40);
 }
 
 TEST(StoreDeathTest, OverCapacityIsFatal)

@@ -7,6 +7,8 @@
  * torn-slot and torn-journal states. After each crash the store must
  * recover to exactly the golden replay of its committed batches, and
  * after recovery it must keep serving a further workload correctly.
+ * A one-op-epoch leg repeats the sweep for the batched backends with
+ * each batch header sharing its line with the batch's only record.
  */
 
 #include <gtest/gtest.h>
@@ -43,14 +45,11 @@ smallConfig()
 
 using Combo = std::tuple<Backend, bool, std::uint64_t>;
 
-class StoreCrashMatrix : public ::testing::TestWithParam<Combo>
+/** Crash @p backend under @p scfg at @p point, recover and check. */
+void
+expectRecovers(Backend backend, const StoreConfig &scfg,
+               bool byRegions, std::uint64_t point)
 {
-};
-
-TEST_P(StoreCrashMatrix, RecoversToCommittedPrefix)
-{
-    const auto [backend, byRegions, point] = GetParam();
-
     StoreCrashSpec spec;
     spec.records = 256;
     spec.preOps = 1600;
@@ -61,20 +60,56 @@ TEST_P(StoreCrashMatrix, RecoversToCommittedPrefix)
     spec.seed = 7 + point;
 
     const StoreCrashOutcome out =
-        runStoreWithCrash(backend, smallConfig(), spec, smallMachine());
+        runStoreWithCrash(backend, scfg, spec, smallMachine());
+    const std::string cell = backendName(backend) + " batchOps " +
+                             std::to_string(scfg.batchOps) +
+                             " crash point " + std::to_string(point) +
+                             (byRegions ? " regions" : " stores");
     EXPECT_TRUE(out.committedStateVerified)
-        << backendName(backend) << " crash point " << point
-        << (byRegions ? " regions" : " stores")
-        << ": recovered state != committed-batch replay";
+        << cell << ": recovered state != committed-batch replay";
     EXPECT_TRUE(out.finalStateVerified)
-        << backendName(backend) << " crash point " << point
-        << (byRegions ? " regions" : " stores")
-        << ": store wrong after post-recovery workload";
+        << cell << ": store wrong after post-recovery workload";
     EXPECT_TRUE(out.scanStateVerified)
-        << backendName(backend) << " crash point " << point
-        << (byRegions ? " regions" : " stores")
+        << cell
         << ": full-range scan through the rebuilt index disagreed "
            "with point-GET recovery (torn epoch visible to SCAN?)";
+}
+
+class StoreCrashMatrix : public ::testing::TestWithParam<Combo>
+{
+};
+
+TEST_P(StoreCrashMatrix, RecoversToCommittedPrefix)
+{
+    const auto [backend, byRegions, point] = GetParam();
+    expectRecovers(backend, smallConfig(), byRegions, point);
+}
+
+/**
+ * One-op epochs (LP and WAL; eager commits every op alone anyway).
+ * An LP batch is then a 24B header plus one 24B record, so every
+ * header's digest word shares a 64B line with (part of) its record,
+ * and a torn line tears the digest together with the data it
+ * covers. The fold window stays at 64 mutations per shard, as in
+ * smallConfig().
+ */
+StoreConfig
+singleOpConfig()
+{
+    StoreConfig cfg = smallConfig();
+    cfg.batchOps = 1;
+    cfg.foldBatches = 64;
+    return cfg;
+}
+
+class StoreCrashMatrixSingleOp : public ::testing::TestWithParam<Combo>
+{
+};
+
+TEST_P(StoreCrashMatrixSingleOp, RecoversToCommittedPrefix)
+{
+    const auto [backend, byRegions, point] = GetParam();
+    expectRecovers(backend, singleOpConfig(), byRegions, point);
 }
 
 // Store-count crash points: early ones hit half-written slots and
@@ -113,6 +148,33 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kRegionPoints)),
     [](const auto &info) {
         return backendName(std::get<0>(info.param)) + "_regions_" +
+               std::to_string(std::get<2>(info.param));
+    });
+
+// One-op epochs commit a region per mutation: 1600 of them, folding
+// every 64 per shard, so these land in early batches, around the
+// first folds (~128), and deep into the run.
+const std::uint64_t kSingleOpRegionPoints[] = {1,   2,   3,   5,   9,
+                                               33,  64,  65,  127, 129,
+                                               257, 700, 1500};
+
+INSTANTIATE_TEST_SUITE_P(
+    AfterNStores, StoreCrashMatrixSingleOp,
+    ::testing::Combine(::testing::Values(Backend::Lp, Backend::Wal),
+                       ::testing::Values(false),
+                       ::testing::ValuesIn(kStorePoints)),
+    [](const auto &info) {
+        return backendName(std::get<0>(info.param)) + "_b1_stores_" +
+               std::to_string(std::get<2>(info.param));
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    AfterNRegions, StoreCrashMatrixSingleOp,
+    ::testing::Combine(::testing::Values(Backend::Lp, Backend::Wal),
+                       ::testing::Values(true),
+                       ::testing::ValuesIn(kSingleOpRegionPoints)),
+    [](const auto &info) {
+        return backendName(std::get<0>(info.param)) + "_b1_regions_" +
                std::to_string(std::get<2>(info.param));
     });
 
