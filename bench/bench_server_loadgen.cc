@@ -58,6 +58,7 @@
 #include "net/connection.hh"
 #include "net/event_loop.hh"
 #include "obs/histogram.hh"
+#include "obs/metrics.hh"
 #include "server/client.hh"
 #include "server/server.hh"
 #include "stats/json.hh"
@@ -608,25 +609,18 @@ olThread(const OlParams &p, std::vector<int> fds, std::uint64_t seed,
             out.errors += c->inflight.size();
 }
 
-/** First integer after `"key":` in a flat JSON rendering, or -1. */
-long long
-jsonIntField(const std::string &json, const std::string &key)
+/**
+ * The server's METRICS exposition, rendered in-process and parsed
+ * (empty if it did not parse). In-process, the scrape does not count
+ * itself as a connection.
+ */
+stats::Snapshot
+scrapeInProcess(const Server &srv)
 {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos)
-        return -1;
-    std::size_t i = at + needle.size();
-    while (i < json.size() && json[i] == ' ')
-        ++i;
-    long long v = 0;
-    bool any = false;
-    while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-        v = v * 10 + (json[i] - '0');
-        ++i;
-        any = true;
-    }
-    return any ? v : -1;
+    stats::Snapshot snap;
+    if (!obs::parseExposition(srv.metricsText(), snap))
+        snap.clear();
+    return snap;
 }
 
 /**
@@ -782,10 +776,11 @@ runOpenLoop(int argc, char **argv, stats::JsonValue::Object &root)
 
     // Post-drain invariant: every sweep connection closed above, so
     // the server's active-connection gauge must return to zero.
-    // Checked in-process (a METRICS scrape would count itself).
-    long long active = -1;
+    double active = -1;
     for (int i = 0; i < 300; ++i) {
-        active = jsonIntField(srv.statsJson(), "conn_active");
+        const stats::Snapshot snap = scrapeInProcess(srv);
+        const auto it = snap.find("lp_conn_active");
+        active = it == snap.end() ? -1 : it->second;
         if (active == 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -796,7 +791,7 @@ runOpenLoop(int argc, char **argv, stats::JsonValue::Object &root)
     ol.emplace("dist", base.poisson ? "poisson" : "fixed");
     ol.emplace("duration_seconds", base.secs);
     ol.emplace("curve", std::move(points));
-    ol.emplace("conn_active_after_drain", double(active));
+    ol.emplace("conn_active_after_drain", active);
     root.emplace("open_loop", std::move(ol));
 
     srv.stop();
@@ -955,18 +950,14 @@ main(int argc, char **argv)
         table.print();
         std::printf("\n");
 
-        // Embed the server's own stats report (rendered with the
-        // canonical engine/stat_names.hh keys) next to the
-        // client-side numbers.
-        {
-            Client sc;
-            if (sc.connectTo(cfg.host, srv.port())) {
-                if (const auto r = sc.stats(); r && !r->body.empty())
-                    perMix.emplace("server_stats",
-                                   stats::JsonValue::raw(r->body));
-                sc.close();
-            }
-        }
+        // Embed the server's own METRICS scrape next to the
+        // client-side numbers, minus the histogram bucket series.
+        stats::Snapshot snap = scrapeInProcess(srv);
+        std::erase_if(snap, [](const auto &kv) {
+            const std::string &key = kv.first;
+            return key.substr(0, key.find('{')).ends_with("_bucket");
+        });
+        perMix.emplace("server_metrics", stats::toJson(snap));
         root.emplace(backendName(b), std::move(perMix));
 
         srv.stop();

@@ -23,7 +23,7 @@
  *     against an in-process server, reporting throughput and the
  *     wait-die abort rate from the aggregated client RetryCounters
  *     (attempts / retries / aborts / backoff) -- the loadgen-side
- *     view of the same counters the server exports via STATS.
+ *     view of the same counters the server exports via METRICS.
  *
  * Every run verifies conservation: sum(balances) after == before
  * (transfers are wrapping Add pairs of +amt / -amt). Writes the full

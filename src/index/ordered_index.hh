@@ -38,7 +38,7 @@
  *
  * Memory accounting: entries() and residentBytes() are relaxed
  * atomics any thread may read (the server's acceptor exports them
- * via STATS/METRICS). residentBytes() counts the head, every live
+ * via METRICS). residentBytes() counts the head, every live
  * node, and every limbo node -- unreclaimed garbage is still
  * resident and is reported as such. Nodes carry a fixed maxHeight
  * pointer array (no flexible-array tricks, so ASan/UBSan see plain

@@ -39,7 +39,7 @@
  *     provides no visibility guarantees between host threads.
  *  3. Cross-thread observers read atomics only. Any watermark or
  *     statistic a non-owning thread may poll (e.g. lp::server's
- *     acceptor reading worker progress for STATS) must be mirrored
+ *     acceptor reading worker progress for METRICS) must be mirrored
  *     into std::atomic variables by the owner; peeking at a live
  *     shard's fields from another thread is a data race even when it
  *     "only reads".

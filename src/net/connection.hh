@@ -27,7 +27,7 @@
  *
  * A Connection owns its fd (closed on destruction) and belongs to a
  * single thread. DatapathStats is the one cross-thread surface:
- * the owning thread writes, STATS/METRICS snapshots read.
+ * the owning thread writes, METRICS snapshots read.
  */
 
 #ifndef LP_NET_CONNECTION_HH

@@ -12,7 +12,7 @@
  *
  * Threading follows the histogram/ring contracts: the shard's single
  * writer records; any thread may read the histograms (the server's
- * acceptor does, for STATS/METRICS).
+ * acceptor does, for METRICS).
  */
 
 #ifndef LP_OBS_SHARD_OBS_HH

@@ -309,15 +309,6 @@ Client::delBackoff(std::uint64_t key, const RetryPolicy &policy,
 }
 
 std::optional<Response>
-Client::stats(int timeoutMs)
-{
-    Request r;
-    r.op = Op::Stats;
-    r.id = nextId();
-    return roundTrip(r, timeoutMs);
-}
-
-std::optional<Response>
 Client::metrics(int timeoutMs)
 {
     Request r;

@@ -4,7 +4,7 @@
  * integration tests, and the load generator. One Client owns one TCP
  * connection. Two usage styles:
  *
- *  - Synchronous helpers (get/put/del/stats/shutdownServer): send one
+ *  - Synchronous helpers (get/put/del/metrics/shutdownServer): send one
  *    request and wait for its reply. Simple, one op in flight.
  *
  *  - Pipelined: sendRequest() any number of frames, then recvResponse()
@@ -131,7 +131,6 @@ class Client
     std::optional<Response> put(std::uint64_t key, std::uint64_t value,
                                 int timeoutMs = -1);
     std::optional<Response> del(std::uint64_t key, int timeoutMs = -1);
-    std::optional<Response> stats(int timeoutMs = -1);
     std::optional<Response> metrics(int timeoutMs = -1);
     std::optional<Response> shutdownServer(int timeoutMs = -1);
 

@@ -118,7 +118,6 @@ encodeRequest(const Request &r, std::vector<std::uint8_t> &out)
                 put64(out, t.value);
         }
         break;
-      case Op::Stats:
       case Op::Shutdown:
       case Op::Metrics:
         break;
@@ -242,7 +241,6 @@ decodeRequest(const std::uint8_t *buf, std::size_t n,
             return Decode::Malformed;  // trailing garbage
         return Decode::Ok;
       }
-      case Op::Stats:
       case Op::Shutdown:
       case Op::Metrics:
         if (len != 9)
@@ -274,7 +272,8 @@ decodeResponse(const std::uint8_t *buf, std::size_t n,
         return Decode::Ok;
     }
     if (len > 9) {
-        // Any other payload is an opaque text body (STATS).
+        // Any other payload is an opaque body (METRICS text,
+        // SCAN/TXN binary).
         out.body.assign(reinterpret_cast<const char *>(p + 9), len - 9);
     }
     return Decode::Ok;

@@ -19,7 +19,7 @@
  *   DEL      op=3  u64 key                          (len 17)
  *   BATCH    op=4  u32 n, then n x {u8 sub, u64 key[, u64 value]}
  *                  where sub is 2 (put, with value) or 3 (del)
- *   STATS    op=5  --                               (len 9)
+ *   (op=5 is retired -- it was STATS; it now decodes Malformed)
  *   SHUTDOWN op=6  --                               (len 9)
  *   METRICS  op=7  --                               (len 9)
  *   SCAN     op=8  u64 start_key, u32 limit         (len 21)
@@ -32,15 +32,14 @@
  *                  commit atomically across shards or none do.
  *
  * Responses:
- *   status=0 Ok        GET carries u64 value; STATS carries a JSON
- *                      text body; METRICS carries a Prometheus text
- *                      exposition body; SCAN carries a binary body of
- *                      u32 count then count x {u64 key, u64 value}
- *                      records in ascending key order (decode with
- *                      decodeScanBody); a committed TXN carries a
- *                      binary body of u32 nGets then nGets x
- *                      {u8 found, u64 value}, one per get sub-op in
- *                      request order (decode with
+ *   status=0 Ok        GET carries u64 value; METRICS carries a
+ *                      Prometheus text exposition body; SCAN carries
+ *                      a binary body of u32 count then count x
+ *                      {u64 key, u64 value} records in ascending key
+ *                      order (decode with decodeScanBody); a
+ *                      committed TXN carries a binary body of u32
+ *                      nGets then nGets x {u8 found, u64 value}, one
+ *                      per get sub-op in request order (decode with
  *                      decodeTxnReadsBody); PUT/DEL/BATCH/SHUTDOWN
  *                      carry nothing
  *   status=1 NotFound  GET miss (no value)
@@ -90,7 +89,7 @@ enum class Op : std::uint8_t
     Put = 2,
     Del = 3,
     Batch = 4,
-    Stats = 5,
+    // 5 was STATS (retired; METRICS is the one stats export).
     Shutdown = 6,
     Metrics = 7,
     Scan = 8,
@@ -171,7 +170,7 @@ struct Response
     std::uint64_t id = 0;
     bool hasValue = false;       ///< GET hit: value is meaningful
     std::uint64_t value = 0;
-    std::string body;            ///< STATS: JSON; METRICS: exposition
+    std::string body;            ///< METRICS: exposition; SCAN/TXN: binary
 };
 
 /** Outcome of one decode attempt over a byte window. */

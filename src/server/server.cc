@@ -243,14 +243,6 @@ Server::Impl::handleRequest(Conn &c, Request &req)
       case Op::Txn:
         routeTxn(c, req);  // coordinator entry (server_txn.cc)
         return;
-      case Op::Stats: {
-        Response r;
-        r.status = Status::Ok;
-        r.id = req.id;
-        r.body = statsJsonNow();
-        localReply(c, std::move(r));
-        return;
-      }
       case Op::Metrics: {
         Response r;
         r.status = Status::Ok;
@@ -743,12 +735,6 @@ Server::installSignalHandlers()
     sa.sa_flags = SA_RESTART;
     ::sigaction(SIGINT, &sa, nullptr);
     ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-std::string
-Server::statsJson() const
-{
-    return impl->statsJsonNow();
 }
 
 std::string

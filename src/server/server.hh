@@ -223,9 +223,6 @@ class Server
      */
     void installSignalHandlers();
 
-    /** The STATS-op JSON document (callable from any thread). */
-    std::string statsJson() const;
-
     /**
      * The METRICS-op Prometheus text exposition (callable from any
      * thread): counters, gauges, recovery counters, and latency

@@ -12,7 +12,7 @@
  *                       each worker's txn::Participant
  *                       (txn/participant.hh), which runs the
  *                       protocol steps themselves
- *   server_stats.cc  -- STATS JSON and METRICS exposition rendering
+ *   server_stats.cc  -- METRICS exposition rendering
  *
  * Not installed, not part of the public API: include server/server.hh
  * from outside.
@@ -267,7 +267,7 @@ struct Server::Impl
         std::atomic<std::uint64_t> statTxnAborts{0};   ///< fast path
 
         // Request-lifecycle histograms, recorded by this worker;
-        // the acceptor reads them for STATS/METRICS under the
+        // the acceptor reads them for METRICS under the
         // obs::Histogram single-writer/any-reader contract (the
         // store-side stage/commit/fold/recover histograms live in
         // kv->shardObs(0)).
@@ -400,7 +400,7 @@ struct Server::Impl
     static constexpr std::size_t kReadBudget = 256 * 1024;
 
     /// Datapath counters shared by every connection (acceptor
-    /// writes; STATS/METRICS snapshot cross-thread).
+    /// writes; METRICS snapshot cross-thread).
     net::DatapathStats netStats;
 
     std::atomic<std::uint64_t> statConns{0};
@@ -413,7 +413,7 @@ struct Server::Impl
     std::atomic<std::uint64_t> statTxnAborts{0};   ///< general path
 
     // Acceptor-recorded request-lifecycle histograms (single writer:
-    // the acceptor thread; STATS/METRICS render on the same thread).
+    // the acceptor thread; METRICS renders on the same thread).
     obs::Histogram parseNs;  ///< bytes on the wire -> decoded request
     obs::Histogram ackNs;    ///< worker posted reply -> encoded
     obs::Histogram txnCommitNs;  ///< general path: accept -> decision
@@ -483,7 +483,6 @@ struct Server::Impl
     void openTxnLog();
 
     // server_stats.cc -- observability rendering.
-    std::string statsJsonNow() const;
     std::string metricsTextNow() const;
 
     // server.cc -- lifecycle + acceptor datapath.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Observability rendering: the STATS-op JSON snapshot and the
- * METRICS-op Prometheus exposition. Reads only stat mirrors,
+ * Observability rendering: the METRICS-op Prometheus exposition, the
+ * server's one stats export. Reads only stat mirrors,
  * cross-thread-safe store atomics, and single-writer histograms
- * (the acceptor renders on its own thread; Server::statsJson()
+ * (the acceptor renders on its own thread; Server::metricsText()
  * callers accept the benign snapshot skew).
  */
 
@@ -11,170 +11,15 @@
 
 #include "engine/stat_names.hh"
 #include "obs/metrics.hh"
-#include "stats/json.hh"
 
 namespace lp::server
 {
 
-std::string
-Server::Impl::statsJsonNow() const
-{
-    using stats::JsonValue;
-    JsonValue::Object o;
-    o["backend"] = store::backendName(cfg.backend);
-    o["shards"] = std::uint64_t(cfg.shards);
-    o["connections"] = statConns.load(std::memory_order_relaxed);
-    o["accepted"] = statAccepted.load(std::memory_order_relaxed);
-    o["retries"] = statRetries.load(std::memory_order_relaxed);
-    o["errors"] = statErrs.load(std::memory_order_relaxed);
-    o["faults"] = statFaults.load(std::memory_order_relaxed);
-    namespace sn = engine::statname;
-    // Latency keys carry the canonical "_ns" base plus percentile
-    // suffixes; values are nanoseconds (bucket midpoints).
-    const auto addLat = [](JsonValue::Object &dst, const char *base,
-                           const obs::Histogram &h) {
-        const obs::Histogram::Summary m = h.summary();
-        const std::string b(base);
-        dst[b + "_count"] = m.count;
-        dst[b + "_p50"] = m.p50Ns;
-        dst[b + "_p90"] = m.p90Ns;
-        dst[b + "_p99"] = m.p99Ns;
-        dst[b + "_p999"] = m.p999Ns;
-    };
-    // Connection-datapath stats (lp::net): the gauge pair mirrors
-    // what the acceptor's event loop sees right now.
-    o[sn::connActive] = statConns.load(std::memory_order_relaxed);
-    o[sn::outbufBytes] =
-        netStats.outbufBytes.load(std::memory_order_relaxed);
-    o[sn::eagainTotal] =
-        netStats.eagainTotal.load(std::memory_order_relaxed);
-    addLat(o, sn::writevBatch, netStats.writevBatch);
-    std::uint64_t gets = 0, muts = 0, acks = 0, scans = 0;
-    std::uint64_t epochs = 0, folds = 0, deadlines = 0;
-    std::uint64_t mediaRepaired = 0, mediaUnrepairable = 0;
-    // Txn commits/aborts split across owners: fast path on the
-    // shard worker, general path on the acceptor (coordinator).
-    std::uint64_t txnC =
-        statTxnCommits.load(std::memory_order_relaxed);
-    std::uint64_t txnA =
-        statTxnAborts.load(std::memory_order_relaxed);
-    obs::Histogram txnCommitAll, txnAbortAll;
-    txnCommitAll.merge(txnCommitNs);
-    txnAbortAll.merge(txnAbortNs);
-    JsonValue::Object shards;
-    for (const auto &wp : workers) {
-        const auto &w = *wp;
-        JsonValue::Object s;
-        const std::uint64_t g =
-            w.statGets.load(std::memory_order_relaxed);
-        const std::uint64_t m =
-            w.statMuts.load(std::memory_order_relaxed);
-        const std::uint64_t sc =
-            w.statScans.load(std::memory_order_relaxed);
-        const std::uint64_t a =
-            w.statAcks.load(std::memory_order_relaxed);
-        const std::uint64_t e =
-            w.statEpochs.load(std::memory_order_relaxed);
-        const std::uint64_t f =
-            w.statFolds.load(std::memory_order_relaxed);
-        const std::uint64_t d =
-            w.statDeadlineCommits.load(std::memory_order_relaxed);
-        const std::uint64_t tc =
-            w.statTxnCommits.load(std::memory_order_relaxed);
-        const std::uint64_t ta =
-            w.statTxnAborts.load(std::memory_order_relaxed);
-        s[sn::gets] = g;
-        s[sn::mutations] = m;
-        s[sn::scans] = sc;
-        s[sn::txnCommits] = tc;
-        s[sn::txnAborts] = ta;
-        s[sn::acksReleased] = a;
-        s[sn::epochsCommitted] = e;
-        s[sn::folds] = f;
-        s[sn::deadlineCommits] = d;
-        s[sn::committedEpoch] =
-            w.statCommittedEpoch.load(std::memory_order_relaxed);
-        s[sn::queueDepth] =
-            w.statQueueDepth.load(std::memory_order_relaxed);
-        // Recovery counters: written once by the worker before
-        // the readiness latch, so the acceptor's reads are
-        // ordered-after by start()'s latch acquire.
-        s[sn::recoveryAttached] =
-            std::uint64_t(w.attached ? 1 : 0);
-        s[sn::batchesReplayed] = w.report.batchesReplayed;
-        s[sn::entriesReplayed] = w.report.entriesReplayed;
-        s[sn::batchesDiscarded] = w.report.batchesDiscarded;
-        s[sn::walUndone] =
-            std::uint64_t(w.report.walUndone ? 1 : 0);
-        // Media-fault counters: the store's own atomics, safe to
-        // read cross-thread like the histogram mirrors.
-        const store::MediaCounters &mc = w.kv->mediaCounters(0);
-        const std::uint64_t mr =
-            mc.repaired.load(std::memory_order_relaxed);
-        const std::uint64_t mu =
-            mc.unrepairable.load(std::memory_order_relaxed);
-        s[sn::mediaRepaired] = mr;
-        s[sn::mediaUnrepairable] = mu;
-        s[sn::scrubRegions] =
-            mc.scrubRegions.load(std::memory_order_relaxed);
-        s[sn::scrubPasses] =
-            mc.scrubPasses.load(std::memory_order_relaxed);
-        s[sn::quarantined] =
-            std::uint64_t(w.kv->quarantined(0) ? 1 : 0);
-        mediaRepaired += mr;
-        mediaUnrepairable += mu;
-        // Ordered-index gauges: the worker's kv atomics, safe to
-        // read cross-thread like the histogram mirrors.
-        s[sn::indexEntries] = w.kv->indexEntries(0);
-        s[sn::indexBytes] = w.kv->indexBytes(0);
-        const obs::ShardObs &ob = w.kv->shardObs(0);
-        addLat(s, sn::stageLatNs, ob.stageNs);
-        addLat(s, sn::commitLatNs, ob.commitNs);
-        addLat(s, sn::foldLatNs, ob.foldNs);
-        addLat(s, sn::recoverLatNs, ob.recoverNs);
-        addLat(s, sn::scanLatNs, ob.scanNs);
-        addLat(s, sn::scanLen, ob.scanLen);
-        addLat(s, sn::commitBatchOps, ob.commitBatchOps);
-        addLat(s, sn::scrubLatNs, ob.scrubNs);
-        addLat(s, sn::reqQueueNs, w.queueNs);
-        addLat(s, sn::reqCommitWaitNs, w.commitWaitNs);
-        shards[std::to_string(w.index)] = std::move(s);
-        gets += g;
-        muts += m;
-        scans += sc;
-        txnC += tc;
-        txnA += ta;
-        acks += a;
-        epochs += e;
-        folds += f;
-        deadlines += d;
-        txnCommitAll.merge(w.txnCommitNs);
-        txnAbortAll.merge(w.txnAbortNs);
-    }
-    o[sn::gets] = gets;
-    o[sn::mutations] = muts;
-    o[sn::scans] = scans;
-    o[sn::acksReleased] = acks;
-    o[sn::epochsCommitted] = epochs;
-    o[sn::folds] = folds;
-    o[sn::deadlineCommits] = deadlines;
-    o[sn::mediaRepaired] = mediaRepaired;
-    o[sn::mediaUnrepairable] = mediaUnrepairable;
-    o[sn::txnCommits] = txnC;
-    o[sn::txnAborts] = txnA;
-    addLat(o, sn::reqParseNs, parseNs);
-    addLat(o, sn::reqAckNs, ackNs);
-    addLat(o, sn::txnCommitLatNs, txnCommitAll);
-    addLat(o, sn::txnAbortLatNs, txnAbortAll);
-    o["shard"] = std::move(shards);
-    return JsonValue(std::move(o)).render();
-}
-
 /**
- * The METRICS-op body: Prometheus text exposition of the same
- * counters plus full latency histogram bucket series, labelled
- * shard="i". Latency metric names rewrite the canonical "_ns"
- * tail to "_seconds" (Prometheus base units).
+ * The METRICS-op body: Prometheus text exposition of the server's
+ * counters, gauges and full latency histogram bucket series,
+ * labelled shard="i". Latency metric names rewrite the canonical
+ * "_ns" tail to "_seconds" (Prometheus base units).
  */
 std::string
 Server::Impl::metricsTextNow() const
@@ -190,6 +35,9 @@ Server::Impl::metricsTextNow() const
         return n;
     };
     obs::MetricsText mt;
+    // Info-style gauge: the backend name rides as a label.
+    mt.gauge("lp_backend_info",
+             "backend=\"" + store::backendName(cfg.backend) + "\"", 1.0);
     mt.gauge("lp_connections", "", rel(statConns));
     mt.counter("lp_accepted", "", rel(statAccepted));
     mt.counter("lp_retries", "", rel(statRetries));
@@ -206,17 +54,32 @@ Server::Impl::metricsTextNow() const
                rel(netStats.eagainTotal));
     mt.histogramRaw(promName(sn::writevBatch), "",
                     netStats.writevBatch);
+    // Unlabelled txn totals sum both commit paths: the general path
+    // on the acceptor (coordinator) and each worker's fast path.
+    std::uint64_t txnC =
+        statTxnCommits.load(std::memory_order_relaxed);
+    std::uint64_t txnA =
+        statTxnAborts.load(std::memory_order_relaxed);
+    obs::Histogram txnCommitAll, txnAbortAll;
+    txnCommitAll.merge(txnCommitNs);
+    txnAbortAll.merge(txnAbortNs);
     for (const auto &wp : workers) {
         const auto &w = *wp;
         const std::string lab =
             "shard=\"" + std::to_string(w.index) + "\"";
+        const std::uint64_t tc =
+            w.statTxnCommits.load(std::memory_order_relaxed);
+        const std::uint64_t ta =
+            w.statTxnAborts.load(std::memory_order_relaxed);
+        txnC += tc;
+        txnA += ta;
+        txnCommitAll.merge(w.txnCommitNs);
+        txnAbortAll.merge(w.txnAbortNs);
         mt.counter(promName(sn::gets), lab, rel(w.statGets));
         mt.counter(promName(sn::mutations), lab, rel(w.statMuts));
         mt.counter(promName(sn::scans), lab, rel(w.statScans));
-        mt.counter(promName(sn::txnCommits), lab,
-                   rel(w.statTxnCommits));
-        mt.counter(promName(sn::txnAborts), lab,
-                   rel(w.statTxnAborts));
+        mt.counter(promName(sn::txnCommits), lab, double(tc));
+        mt.counter(promName(sn::txnAborts), lab, double(ta));
         mt.gauge(promName(sn::indexEntries), lab,
                  double(w.kv->indexEntries(0)));
         mt.gauge(promName(sn::indexBytes), lab,
@@ -243,17 +106,13 @@ Server::Impl::metricsTextNow() const
         mt.counter(promName(sn::walUndone), lab,
                    w.report.walUndone ? 1.0 : 0.0);
         const store::MediaCounters &mc = w.kv->mediaCounters(0);
-        const auto mcrel = [](const std::atomic<std::uint64_t> &a) {
-            return double(a.load(std::memory_order_relaxed));
-        };
-        mt.counter("lp_media_repaired_total", lab,
-                   mcrel(mc.repaired));
+        mt.counter("lp_media_repaired_total", lab, rel(mc.repaired));
         mt.counter("lp_media_unrepairable_total", lab,
-                   mcrel(mc.unrepairable));
+                   rel(mc.unrepairable));
         mt.counter(promName(sn::scrubRegions), lab,
-                   mcrel(mc.scrubRegions));
+                   rel(mc.scrubRegions));
         mt.counter(promName(sn::scrubPasses), lab,
-                   mcrel(mc.scrubPasses));
+                   rel(mc.scrubPasses));
         mt.gauge(promName(sn::quarantined), lab,
                  w.kv->quarantined(0) ? 1.0 : 0.0);
         const obs::ShardObs &ob = w.kv->shardObs(0);
@@ -287,21 +146,8 @@ Server::Impl::metricsTextNow() const
                    double(acceptRing->dropped()));
     mt.histogramNs(promName(sn::reqParseNs), "", parseNs);
     mt.histogramNs(promName(sn::reqAckNs), "", ackNs);
-    // Unlabelled totals: both commit paths summed. Scrapers (and
-    // lazyper_cli top's vintage gate) key on lp_txn_commits.
-    std::uint64_t txnC =
-        statTxnCommits.load(std::memory_order_relaxed);
-    std::uint64_t txnA =
-        statTxnAborts.load(std::memory_order_relaxed);
-    obs::Histogram txnCommitAll, txnAbortAll;
-    txnCommitAll.merge(txnCommitNs);
-    txnAbortAll.merge(txnAbortNs);
-    for (const auto &wp : workers) {
-        txnC += wp->statTxnCommits.load(std::memory_order_relaxed);
-        txnA += wp->statTxnAborts.load(std::memory_order_relaxed);
-        txnCommitAll.merge(wp->txnCommitNs);
-        txnAbortAll.merge(wp->txnAbortNs);
-    }
+    // Scrapers (and lazyper_cli top's vintage gate) key on the
+    // unlabelled lp_txn_commits.
     mt.counter(promName(sn::txnCommits), "", double(txnC));
     mt.counter(promName(sn::txnAborts), "", double(txnA));
     mt.histogramNs(promName(sn::txnCommitLatNs), "", txnCommitAll);

@@ -13,6 +13,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "index/merge.hh"
 
 namespace lp::server
 {
@@ -261,40 +262,37 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // Sub-scan of this worker's shard. KvStore::scan records
         // the per-shard scan latency/length histograms itself
         // (single-shard store: shard 0 is exactly this shard).
-        const auto recs = w.kv->scan(w.env, op.key,
-                                     std::size_t(op.value));
-        w.statScans.fetch_add(1, std::memory_order_relaxed);
         ScanCtx &ctx = *op.scan;
         auto &slot = ctx.parts[std::size_t(w.index)];
-        slot.reserve(recs.size());
-        for (const auto &[k, v] : recs)
-            slot.push_back(ScanRecord{k, v});
+        w.kv->scan(w.env, op.key, std::size_t(op.value),
+                   [&slot](std::uint64_t k, std::uint64_t v) {
+                       slot.push_back(ScanRecord{k, v});
+                   });
+        w.statScans.fetch_add(1, std::memory_order_relaxed);
         if (ctx.remaining.fetch_sub(
                 1, std::memory_order_acq_rel) != 1)
             return;  // other shards still scanning
-        // Last sub-scan: k-way merge the sorted partials (shards
-        // partition the key space, so popping the minimum head
-        // yields global order) and post the single reply.
+        // Last sub-scan: merge the sorted partials, the same k-way
+        // merge KvStore::scan runs over its index cursors.
+        struct PartCursor
+        {
+            const ScanRecord *at, *end;
+            bool valid() const { return at != end; }
+            std::uint64_t key() const { return at->key; }
+            std::uint64_t value() const { return at->value; }
+            void advance() { ++at; }
+        };
+        std::vector<PartCursor> cur;
+        cur.reserve(ctx.parts.size());
+        for (const auto &p : ctx.parts)
+            cur.push_back({p.data(), p.data() + p.size()});
         std::vector<ScanRecord> merged;
         merged.reserve(ctx.limit);
-        std::vector<std::size_t> at(ctx.parts.size(), 0);
-        while (merged.size() < ctx.limit) {
-            int best = -1;
-            for (std::size_t s = 0; s < ctx.parts.size(); ++s) {
-                if (at[s] >= ctx.parts[s].size())
-                    continue;
-                if (best < 0 ||
-                    ctx.parts[s][at[s]].key <
-                        ctx.parts[std::size_t(best)]
-                                 [at[std::size_t(best)]].key)
-                    best = int(s);
-            }
-            if (best < 0)
-                break;
-            merged.push_back(
-                ctx.parts[std::size_t(best)]
-                         [at[std::size_t(best)]++]);
-        }
+        index::mergeAscending(cur.data(), cur.size(), ctx.limit,
+                              [&merged](std::uint64_t k,
+                                        std::uint64_t v) {
+                                  merged.push_back(ScanRecord{k, v});
+                              });
         Response r;
         r.status = Status::Ok;
         r.id = ctx.reqId;

@@ -42,7 +42,7 @@
  * by a check word, so recovery can prove corruption (a crash leaves
  * each block-atomic copy self-consistent) and repair from the twin.
  * Per-shard MediaCounters record repairs/unrepairable faults for
- * STATS/METRICS; unrepairable > 0 means the shard is QUARANTINED
+ * METRICS; unrepairable > 0 means the shard is QUARANTINED
  * (callers must stop mutating it; lp::server serves it read-only).
  *
  * Allocation-order determinism: a backend's constructor must
@@ -96,7 +96,7 @@ engine::CommitPolicy commitPolicyFor(Backend backend,
 /**
  * Cumulative media-fault counters of one shard. The shard's single
  * writer updates them (recovery, scrub); any thread may read (the
- * server's acceptor exports them in STATS/METRICS), hence atomics.
+ * server's acceptor exports them in METRICS), hence atomics.
  */
 struct MediaCounters
 {

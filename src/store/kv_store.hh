@@ -49,6 +49,7 @@
 
 #include "base/logging.hh"
 #include "engine/commit_pipeline.hh"
+#include "index/merge.hh"
 #include "index/ordered_index.hh"
 #include "obs/shard_obs.hh"
 #include "pmem/arena.hh"
@@ -136,7 +137,7 @@ class KvStore
      * One shard's latency histograms (always recording) and trace
      * ring. Histograms follow the obs::Histogram concurrency
      * contract: any thread may read them while the shard's owner
-     * records (the server's acceptor does, for STATS/METRICS).
+     * records (the server's acceptor does, for METRICS).
      */
     obs::ShardObs &
     shardObs(int shard)
@@ -293,37 +294,34 @@ class KvStore
      * single-shard worker stores).
      */
     std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    scan(Env &, std::uint64_t start, std::size_t limit)
+    scan(Env &env, std::uint64_t start, std::size_t limit)
+    {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+        scan(env, start, limit,
+             [&out](std::uint64_t k, std::uint64_t v) {
+                 out.emplace_back(k, v);
+             });
+        return out;
+    }
+
+    /**
+     * The same range read, handing each record to @p emit(key, value)
+     * in ascending order instead of collecting them; returns the
+     * record count.
+     */
+    template <class Emit>
+    std::size_t
+    scan(Env &, std::uint64_t start, std::size_t limit, Emit &&emit)
     {
         obs::ScopedTimer timer(obs_[0].scanNs);
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
         std::vector<index::OrderedIndex::Cursor> cur;
         cur.reserve(std::size_t(cfg_.shards));
         for (int s = 0; s < cfg_.shards; ++s)
             cur.push_back(index_[std::size_t(s)].lowerBound(start));
-        // K-way merge over the per-shard cursors; shards partition
-        // the key space, so every key appears under exactly one
-        // cursor and popping the minimum yields global order.
-        while (out.size() < limit) {
-            int best = -1;
-            std::uint64_t bestKey = 0;
-            for (int s = 0; s < cfg_.shards; ++s) {
-                const auto &c = cur[std::size_t(s)];
-                if (!c.valid())
-                    continue;
-                if (best < 0 || c.key() < bestKey) {
-                    best = s;
-                    bestKey = c.key();
-                }
-            }
-            if (best < 0)
-                break;
-            auto &c = cur[std::size_t(best)];
-            out.emplace_back(bestKey, c.value());
-            c.advance();
-        }
-        obs_[0].scanLen.record(out.size());
-        return out;
+        const std::size_t n =
+            index::mergeAscending(cur.data(), cur.size(), limit, emit);
+        obs_[0].scanLen.record(n);
+        return n;
     }
 
     /** Live keys in one shard's ordered index (any thread). */

@@ -59,6 +59,41 @@ makeTempDir()
     return d ? d : "";
 }
 
+/** Scrape METRICS over @p c and parse it into @p snap. */
+void
+scrapeMetrics(Client &c, stats::Snapshot &snap)
+{
+    const auto r = c.metrics(20000);
+    ASSERT_TRUE(r.has_value());
+    ASSERT_EQ(r->status, Status::Ok);
+    ASSERT_TRUE(obs::parseExposition(r->body, snap))
+        << "exposition did not parse:\n"
+        << r->body;
+}
+
+/** `name{shard="i"}` for every shard present (shard 0 upward). */
+std::vector<double>
+perShard(const stats::Snapshot &snap, const std::string &name)
+{
+    std::vector<double> out;
+    for (int shard = 0;; ++shard) {
+        const auto it = snap.find(name + "{shard=\"" +
+                                  std::to_string(shard) + "\"}");
+        if (it == snap.end())
+            return out;
+        out.push_back(it->second);
+    }
+}
+
+double
+shardSum(const stats::Snapshot &snap, const std::string &name)
+{
+    double sum = 0.0;
+    for (const double v : perShard(snap, name))
+        sum += v;
+    return sum;
+}
+
 /**
  * Run a server in a forked child. The child never returns: it serves
  * until killed (SIGKILL from the test) or asked to shut down
@@ -326,15 +361,18 @@ TEST_P(ServerCrash, AckedMutationsSurviveSigkill)
     // The recovered server must accept new work...
     const auto pr = c3.put(55, 424242, 20000);
     ASSERT_TRUE(pr && pr->status == Status::Ok);
-    const auto sr = c3.stats(20000);
-    ASSERT_TRUE(sr && sr->status == Status::Ok);
-    EXPECT_NE(sr->body.find("\"backend\""), std::string::npos);
+    stats::Snapshot snap;
+    scrapeMetrics(c3, snap);
+    const std::string info = "lp_backend_info{backend=\"" +
+                             store::backendName(cfg.backend) + "\"}";
+    ASSERT_EQ(snap.count(info), 1u) << info;
+    EXPECT_EQ(snap.at(info), 1.0);
     // This incarnation recovered from an image, and says so: the
-    // per-shard recovery counters ride along in the stats report.
-    EXPECT_NE(sr->body.find("\"recovery_attached\":1"),
-              std::string::npos);
-    EXPECT_NE(sr->body.find("\"batches_replayed\""),
-              std::string::npos);
+    // per-shard recovery counters ride along in the scrape.
+    EXPECT_EQ(perShard(snap, "lp_recovery_attached"),
+              std::vector<double>(std::size_t(cfg.shards), 1.0));
+    EXPECT_EQ(perShard(snap, "lp_batches_replayed").size(),
+              std::size_t(cfg.shards));
 
     // ...and shut down gracefully on the SHUTDOWN op.
     const auto down = c3.shutdownServer(20000);
@@ -496,10 +534,15 @@ TEST(ServerBasic, InProcessOpsAndStats)
     ASSERT_TRUE(bk && bk->status == Status::Ok);
     EXPECT_EQ(bk->value, 330u);
 
-    const auto sr = c.stats(10000);
-    ASSERT_TRUE(sr && sr->status == Status::Ok);
-    EXPECT_NE(sr->body.find("\"mutations\""), std::string::npos);
-    EXPECT_NE(sr->body.find("\"shard\""), std::string::npos);
+    // Every applied mutation is counted on its shard: put 9, del 9
+    // and the 20 batch puts (the rejected sentinel put is not).
+    stats::Snapshot snap;
+    scrapeMetrics(c, snap);
+    const auto muts = perShard(snap, "lp_mutations");
+    ASSERT_EQ(muts.size(), std::size_t(cfg.shards));
+    for (const double m : muts)
+        EXPECT_GT(m, 0.0);
+    EXPECT_EQ(shardSum(snap, "lp_mutations"), 22.0);
 
     c.close();
     srv.stop();
@@ -546,16 +589,21 @@ TEST(ServerBasic, ScanMergesShardsEndToEnd)
     ASSERT_TRUE(past.has_value());
     EXPECT_TRUE(past->empty());
 
-    // The scan counters and index gauges ride the stats report.
-    const auto sr = c.stats(10000);
-    ASSERT_TRUE(sr && sr->status == Status::Ok);
-    EXPECT_NE(sr->body.find("\"scans\""), std::string::npos);
-    EXPECT_NE(sr->body.find("\"index_entries\""), std::string::npos);
-    EXPECT_NE(sr->body.find("\"index_bytes\""), std::string::npos);
-    EXPECT_NE(sr->body.find("\"scan_lat_ns_p99\""), std::string::npos);
-    EXPECT_NE(sr->body.find("\"scan_len_p50\""), std::string::npos);
-    EXPECT_NE(sr->body.find("\"commit_batch_ops_p50\""),
-              std::string::npos);
+    // The scan counters and index gauges ride the scrape: each of
+    // the 3 client scans ran one sub-scan on every shard, and the
+    // 11 keys are indexed across the shards.
+    stats::Snapshot snap;
+    scrapeMetrics(c, snap);
+    const std::vector<double> three(std::size_t(cfg.shards), 3.0);
+    EXPECT_EQ(perShard(snap, "lp_scans"), three);
+    EXPECT_EQ(perShard(snap, "lp_scan_lat_seconds_count"), three);
+    EXPECT_EQ(perShard(snap, "lp_scan_len_count"), three);
+    EXPECT_EQ(shardSum(snap, "lp_index_entries"), 11.0);
+    const auto bytes = perShard(snap, "lp_index_bytes");
+    ASSERT_EQ(bytes.size(), std::size_t(cfg.shards));
+    for (const double b : bytes)
+        EXPECT_GT(b, 0.0);
+    EXPECT_GE(shardSum(snap, "lp_commit_batch_ops_count"), 1.0);
 
     c.close();
     srv.stop();
@@ -636,30 +684,8 @@ TEST(ServerBasic, MetricsScrapeUnderLoad)
         ASSERT_TRUE(r && r->status == Status::Ok);
     }
 
-    const auto scrape = [&](stats::Snapshot &snap) {
-        const auto r = c.metrics(10000);
-        ASSERT_TRUE(r.has_value());
-        ASSERT_EQ(r->status, Status::Ok);
-        ASSERT_FALSE(r->body.empty());
-        EXPECT_TRUE(obs::parseExposition(r->body, snap))
-            << "exposition did not parse:\n"
-            << r->body;
-    };
-
     stats::Snapshot s1;
-    scrape(s1);
-
-    const auto shardSum = [](const stats::Snapshot &snap,
-                             const std::string &name) {
-        double sum = 0.0;
-        for (int shard = 0;; ++shard) {
-            const auto it = snap.find(name + "{shard=\"" +
-                                      std::to_string(shard) + "\"}");
-            if (it == snap.end())
-                return sum;
-            sum += it->second;
-        }
-    };
+    scrapeMetrics(c, s1);
     EXPECT_DOUBLE_EQ(shardSum(s1, "lp_mutations"), 100.0);
     EXPECT_DOUBLE_EQ(shardSum(s1, "lp_gets"), 50.0);
     EXPECT_GE(s1.at("lp_connections"), 1.0);
@@ -690,7 +716,7 @@ TEST(ServerBasic, MetricsScrapeUnderLoad)
         ASSERT_TRUE(r && r->status == Status::Ok);
     }
     stats::Snapshot s2;
-    scrape(s2);
+    scrapeMetrics(c, s2);
     for (const auto &[key, v1] : s1) {
         if (key.find("lp_connections") == 0 ||
             key.find("lp_queue_depth") == 0 ||
@@ -743,14 +769,15 @@ TEST(ServerBasic, MalformedFrameClosesConnection)
 
     // Oversized length field.
     rawProbe({0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x00, 0x00});
-    // Unknown opcode inside a well-formed frame.
-    {
+    // Unknown opcodes inside a well-formed frame, the retired STATS
+    // opcode 5 among them.
+    for (const std::uint8_t opcode : {0xee, 5}) {
         Request probe;
-        probe.op = Op::Stats;
+        probe.op = Op::Metrics;
         probe.id = 1;
         std::vector<std::uint8_t> frame;
         encodeRequest(probe, frame);
-        frame[4] = 0xee;
+        frame[4] = opcode;
         rawProbe(frame);
     }
     // Length/opcode mismatch: GET framed with a PUT-sized payload.
@@ -808,8 +835,9 @@ TEST(ServerBasic, MalformedFrameClosesConnection)
     // And the server is still healthy for other clients.
     Client again;
     ASSERT_TRUE(again.connectTo("127.0.0.1", srv.port()));
-    const auto sr = again.stats(10000);
-    ASSERT_TRUE(sr && sr->status == Status::Ok);
+    stats::Snapshot snap;
+    scrapeMetrics(again, snap);
+    EXPECT_EQ(snap.at("lp_malformed"), 7.0);  // one per probe
     again.close();
 
     srv.stop();

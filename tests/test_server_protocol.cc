@@ -62,7 +62,7 @@ TEST(ServerProtocol, RequestRoundTrips)
     cases[2].id = 1;
     cases[2].key = ~0ull;  // sentinel-range keys are a SERVER-side
                            // (Status::Err) concern, not a codec one
-    cases[3].op = Op::Stats;
+    cases[3].op = Op::Metrics;
     cases[3].id = 42;
 
     for (const Request &in : cases) {
@@ -237,6 +237,20 @@ TEST(ServerProtocol, LengthOpcodeMismatchIsMalformed)
     buf[4] = 200;
     EXPECT_EQ(decodeRequest(buf.data(), buf.size(), used, out),
               Decode::Malformed);
+
+    // Opcode 5 (the retired STATS) is unknown, even in the length-9
+    // frame it used to have.
+    auto bare = enc([] {
+        Request r;
+        r.op = Op::Metrics;
+        r.id = 1;
+        return r;
+    }());
+    ASSERT_EQ(decodeRequest(bare.data(), bare.size(), used, out),
+              Decode::Ok);
+    bare[4] = 5;
+    EXPECT_EQ(decodeRequest(bare.data(), bare.size(), used, out),
+              Decode::Malformed);
 }
 
 TEST(ServerProtocol, BatchShapeViolationsAreMalformed)
@@ -265,7 +279,7 @@ TEST(ServerProtocol, BatchShapeViolationsAreMalformed)
     }
     {
         auto buf = good;
-        buf[17] = std::uint8_t(Op::Stats);  // bad sub-opcode
+        buf[17] = std::uint8_t(Op::Metrics);  // bad sub-opcode
         Request out;
         std::size_t used = 0;
         EXPECT_EQ(decodeRequest(buf.data(), buf.size(), used, out),

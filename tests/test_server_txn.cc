@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "server/client.hh"
 #include "server/server.hh"
 #include "store/layout.hh"
@@ -631,10 +632,14 @@ TEST(ServerTxnIsolation, ScansNeverSeePartialTransfers)
         }
         EXPECT_EQ(sum, kTotal) << "transfers minted/destroyed money";
 
-        // The stats document reports transaction traffic.
-        const auto st = c.stats();
-        ASSERT_TRUE(st && st->status == Status::Ok);
-        EXPECT_NE(st->body.find("\"txn_commits\""), std::string::npos);
+        // The scrape reports transaction traffic: the unlabelled
+        // total sums both commit paths.
+        const auto m = c.metrics();
+        ASSERT_TRUE(m && m->status == Status::Ok);
+        stats::Snapshot snap;
+        ASSERT_TRUE(obs::parseExposition(m->body, snap));
+        ASSERT_EQ(snap.count("lp_txn_commits"), 1u);
+        EXPECT_GT(snap.at("lp_txn_commits"), 0.0);
 
         srv.stop();
     }

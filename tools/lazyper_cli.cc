@@ -735,7 +735,7 @@ injectUsage(const char *argv0)
         "next restart's recovery must detect it) and on a live one\n"
         "(the shared page cache makes the flip visible to the serving\n"
         "process; its next scrub pass must catch it). Never repairs\n"
-        "anything; see `top` or STATS for the repair counters.\n",
+        "anything; see `top` or METRICS for the repair counters.\n",
         argv0);
     std::exit(2);
 }

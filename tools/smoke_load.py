@@ -9,7 +9,9 @@ own client library.
 What it does:
 
   1. PUTs --records keys, then GETs them back and checks the values.
-  2. Scrapes METRICS, validating the Prometheus exposition shape.
+  2. Scrapes METRICS, validating the Prometheus exposition shape
+     (histogram buckets, and exactly one lp_backend_info series,
+     equal to 1).
   3. Runs another round of PUTs.
   4. Scrapes METRICS again and checks that every counter/bucket/sum
      series is monotonically nondecreasing across the two scrapes,
@@ -60,7 +62,6 @@ import time
 OP_GET = 1
 OP_PUT = 2
 OP_DEL = 3
-OP_STATS = 5
 OP_SHUTDOWN = 6
 OP_METRICS = 7
 OP_TXN = 9
@@ -359,6 +360,16 @@ def read_port(data_dir: str, timeout_s: float) -> int:
     fail(f"no port published at {path} within {timeout_s}s")
 
 
+def check_backend_info(snap: dict) -> None:
+    info = {k: v for k, v in snap.items()
+            if k.startswith("lp_backend_info{")}
+    if len(info) != 1:
+        fail(f"want exactly one lp_backend_info series, got {info}")
+    (key, v), = info.items()
+    if v != 1:
+        fail(f"{key} = {v}, want 1")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--host", default="127.0.0.1")
@@ -455,6 +466,7 @@ def main() -> None:
 
     s1 = scrape(sock)
     check_histograms(s1)
+    check_backend_info(s1)
     muts1 = shard_sum(s1, "lp_mutations")
     if muts1 < rounds * args.records:
         fail(f"lp_mutations {muts1} < ops issued "
@@ -467,6 +479,7 @@ def main() -> None:
     s2 = scrape(sock)
     check_monotonic(s1, s2)
     check_histograms(s2)
+    check_backend_info(s2)
     muts2 = shard_sum(s2, "lp_mutations")
     if muts2 - muts1 != extra:
         fail(f"lp_mutations delta {muts2 - muts1}, want {extra}")
