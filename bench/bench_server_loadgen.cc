@@ -293,6 +293,45 @@ makeDataDir()
     return dir;
 }
 
+/**
+ * Refuse any argument this bench does not know, before a server
+ * starts or the report is written: print the accepted flags to
+ * stderr and exit 2. Accepted: the `--name=value` flags below, the
+ * bare --open-loop-only, and at most one positional report path.
+ */
+void
+checkArgs(int argc, char **argv)
+{
+    static const char *const kValueFlags[] = {
+        "--trace-out=", "--ol-secs=",  "--ol-rate=",
+        "--ol-dist=",   "--ol-conns=",
+    };
+    int positional = 0;
+    bool ok = true;
+    for (int i = 1; i < argc && ok; ++i) {
+        const std::string a = argv[i];
+        if (a.empty() || a[0] != '-') {
+            ok = ++positional == 1;
+            continue;
+        }
+        ok = a == "--open-loop-only" ||
+             std::any_of(std::begin(kValueFlags), std::end(kValueFlags),
+                         [&a](const char *f) {
+                             return a.rfind(f, 0) == 0;
+                         });
+    }
+    if (ok)
+        return;
+    std::fprintf(stderr,
+                 "usage: %s [--trace-out=BASE] [--open-loop-only]\n"
+                 "         [--ol-secs=N] [--ol-rate=OPS] "
+                 "[--ol-dist=fixed|poisson]\n"
+                 "         [--ol-conns=N,N,...] [REPORT.json]\n"
+                 "(default report path: BENCH_server.json)\n",
+                 argv[0]);
+    std::exit(2);
+}
+
 /** True when the bare flag `--name` appears anywhere in argv. */
 bool
 hasArg(int argc, char **argv, const std::string &name)
@@ -805,6 +844,7 @@ runOpenLoop(int argc, char **argv, stats::JsonValue::Object &root)
 int
 main(int argc, char **argv)
 {
+    checkArgs(argc, argv);
     bench::banner(
         "lp::server load generator (YCSB A/B/C over TCP)",
         "end-to-end LP vs. eager vs. WAL: recoverable-ack "

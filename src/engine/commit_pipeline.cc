@@ -1,7 +1,5 @@
 #include "engine/commit_pipeline.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "obs/shard_obs.hh"
 
@@ -91,50 +89,6 @@ CommitPipeline::rebase(std::uint64_t committed)
     committedSinceFold_ = 0;
     lastCommitted_ = committed;
     foldedEpoch_ = committed;
-    pending_.clear();
-}
-
-void
-CommitPipeline::notePending(std::uint64_t epoch, Clock::time_point at)
-{
-    LP_ASSERT(pending_.empty() || pending_.back().epoch <= epoch,
-              "pending acks must arrive in epoch order");
-    pending_.push_back(PendingAck{epoch, at});
-}
-
-CommitTrigger
-CommitPipeline::commitTrigger(Clock::time_point now,
-                              bool queueDrained) const
-{
-    // pending_ is in epoch order: skip the acks whose epoch already
-    // committed (a full batch) and are only waiting to be released.
-    const auto oldest = std::partition_point(
-        pending_.begin(), pending_.end(), [&](const PendingAck &p) {
-            return p.epoch <= lastCommitted_;
-        });
-    if (oldest == pending_.end())
-        return CommitTrigger::None;
-    if (now >= oldest->at + policy_.flushDeadline)
-        return CommitTrigger::Deadline;
-    return queueDrained ? CommitTrigger::Drained : CommitTrigger::None;
-}
-
-void
-CommitPipeline::noteDeadlineCommit()
-{
-    ++counters_.deadlineCommits;
-}
-
-std::size_t
-CommitPipeline::releaseUpTo(std::uint64_t committed)
-{
-    std::size_t n = 0;
-    while (!pending_.empty() && pending_.front().epoch <= committed) {
-        pending_.pop_front();
-        ++n;
-    }
-    counters_.acksReleased += n;
-    return n;
 }
 
 } // namespace lp::engine

@@ -7,26 +7,23 @@
  * accumulation (stage until batchOps ops), commit bookkeeping (the
  * open epoch is always lastCommitted + 1), fold-period accounting
  * (an eager checkpoint is due every foldBatches committed epochs),
- * the commit policy for services that hold acknowledgements until
- * their epoch commits, and per-epoch stats under the canonical names
- * of engine/stat_names.hh.
+ * and per-epoch stats under the canonical names of
+ * engine/stat_names.hh.
  *
- * Commit triggers: an epoch commits when its batch is full
- * (stageOp()), when the owner's request queue drained with acks
- * pending, or when the oldest pending ack outwaited flushDeadline --
- * the backstop for a queue that never drains. The last two are one
- * decision, commitTrigger(). An LP commit is a few plain checksum
- * stores (no flush, no fence), so holding acks once there is nothing
- * left to batch with would buy no coalescing, only latency.
+ * An epoch commits when its batch is full (stageOp() says so) or
+ * when its owner decides nothing more will join it: the embedded
+ * store's caller via commitBatches(), the server worker at the end
+ * of every round (server/server_worker.cc). Holding acknowledgements
+ * is the owner's business too; an LP commit is a few plain stores
+ * (no flush, no fence), so there is nothing to schedule here.
  *
  * The pipeline is pure volatile bookkeeping: it never touches
  * persistent memory and never looks at a clock. The persistency
  * backend (store/backend_*.hh) performs the actual journal/table
- * writes and tells the pipeline what happened; callers that need
- * deadline behavior pass their own time points in. That split keeps
- * the scheduling logic deterministic and unit-testable (no sleeps)
- * and lets the instrumented simulator and the native server share it
- * unchanged.
+ * writes and tells the pipeline what happened. That split keeps the
+ * sequencing deterministic and unit-testable and lets the
+ * instrumented simulator, the embedded store and the native server
+ * share it unchanged.
  *
  * Threading: a pipeline belongs to its shard's single writer (the
  * env.hh single-writer-per-shard contract); nothing here is
@@ -36,10 +33,7 @@
 #ifndef LP_ENGINE_COMMIT_PIPELINE_HH
 #define LP_ENGINE_COMMIT_PIPELINE_HH
 
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 
 namespace lp::obs
 {
@@ -57,14 +51,6 @@ struct CommitPolicy
 
     /** Fold (eager checkpoint) every this many committed epochs. */
     int foldBatches = 64;
-
-    /**
-     * Commit an underfilled epoch once its oldest pending
-     * acknowledgement has waited this long, even if the owner's
-     * queue never drains (services only; callers without ack
-     * scheduling never consult it).
-     */
-    std::chrono::microseconds flushDeadline{2000};
 };
 
 /** Monotonic counters, keyed by engine/stat_names.hh when emitted. */
@@ -73,29 +59,17 @@ struct PipelineCounters
     std::uint64_t opsStaged = 0;
     std::uint64_t epochsCommitted = 0;
     std::uint64_t folds = 0;
-    std::uint64_t deadlineCommits = 0;
-    std::uint64_t acksReleased = 0;
-};
-
-/** Why an owner should commit its open epoch now. */
-enum class CommitTrigger
-{
-    None,     ///< no uncommitted ack is pending
-    Drained,  ///< the request queue drained with acks pending
-    Deadline, ///< the oldest uncommitted ack outwaited the deadline
 };
 
 /**
- * Epoch sequencing + fold accounting + drain/deadline ack release
- * for one shard. Invariant throughout: the open epoch (when one is
- * open) is exactly lastCommitted() + 1, and foldedEpoch() trails
- * lastCommitted() by at most foldBatches epochs.
+ * Epoch sequencing + fold accounting for one shard. Invariant
+ * throughout: the open epoch (when one is open) is exactly
+ * lastCommitted() + 1, and foldedEpoch() trails lastCommitted() by at
+ * most foldBatches epochs.
  */
 class CommitPipeline
 {
   public:
-    using Clock = std::chrono::steady_clock;
-
     explicit CommitPipeline(const CommitPolicy &policy);
 
     const CommitPolicy &policy() const { return policy_; }
@@ -141,45 +115,13 @@ class CommitPipeline
 
     /**
      * Rebase onto a recovered/attached image: epoch @p committed is
-     * durable, nothing is open or pending.
+     * durable, nothing is open.
      */
     void rebase(std::uint64_t committed);
 
     std::uint64_t lastCommitted() const { return lastCommitted_; }
     std::uint64_t foldedEpoch() const { return foldedEpoch_; }
     int committedSinceFold() const { return committedSinceFold_; }
-    /// @}
-
-    /// @name Recoverable-ack scheduling
-    /// @{
-
-    /** An ack for @p epoch entered service at @p at. */
-    void notePending(std::uint64_t epoch, Clock::time_point at);
-
-    bool hasPending() const { return !pending_.empty(); }
-    std::size_t pendingCount() const { return pending_.size(); }
-
-    /**
-     * The commit decision of one service round, taken after the
-     * round's ops were staged: Deadline when the oldest ack of a
-     * not-yet-committed epoch has waited flushDeadline by @p now,
-     * else Drained when @p queueDrained and such an ack is pending,
-     * else None. Acks of epochs a full batch already committed ask
-     * for nothing; they only await releaseUpTo(). An owner that
-     * commits on every non-None answer never idles with acks
-     * pending.
-     */
-    CommitTrigger commitTrigger(Clock::time_point now,
-                                bool queueDrained) const;
-
-    /** The caller committed because commitTrigger() said Deadline. */
-    void noteDeadlineCommit();
-
-    /**
-     * Pop every pending ack with epoch <= @p committed and return how
-     * many were released.
-     */
-    std::size_t releaseUpTo(std::uint64_t committed);
     /// @}
 
     const PipelineCounters &counters() const { return counters_; }
@@ -217,12 +159,6 @@ class CommitPipeline
     /// @}
 
   private:
-    struct PendingAck
-    {
-        std::uint64_t epoch;
-        Clock::time_point at;
-    };
-
     CommitPolicy policy_;
     bool open_ = false;
     int stagedOps_ = 0;
@@ -230,7 +166,6 @@ class CommitPipeline
     std::uint64_t lastCommitted_ = 0;
     std::uint64_t foldedEpoch_ = 0;
     std::uint64_t openTraceId_ = 0;
-    std::deque<PendingAck> pending_;
     PipelineCounters counters_;
     obs::ShardObs *obs_ = nullptr;
 };

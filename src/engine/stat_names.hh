@@ -25,10 +25,6 @@ inline constexpr const char *epochsCommitted = "epochs_committed";
 /** Eager checkpoints (LP journal folds) performed. */
 inline constexpr const char *folds = "folds";
 
-/** Commits forced by the flush deadline (a queue that never
- *  drained), not a full batch or a drained queue. */
-inline constexpr const char *deadlineCommits = "deadline_commits";
-
 /** Acknowledgements released by epoch commit. */
 inline constexpr const char *acksReleased = "acks_released";
 

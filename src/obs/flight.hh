@@ -57,13 +57,15 @@ namespace lp::obs
 /**
  * Span/instant names that survive a crash. Appending is fine; never
  * reorder or remove -- recovered nameIds index this table. Id 0
- * renders unknown names.
+ * renders unknown names. Retired names keep their slot so older
+ * flight rings still decode: "deadline_commit" (id 9) is no longer
+ * emitted.
  */
 constexpr const char *kFlightNames[] = {
     "?",           "parse",        "queue",
     "commit_wait", "ack",          "epoch_commit",
     "fold",        "scrub",        "recover_shard",
-    "deadline_commit",             "wal_commit",
+    "deadline_commit" /* retired */, "wal_commit",
     "crash",       "conn",         "txn_commit",
     "stage",       "drain",
 };

@@ -16,10 +16,9 @@
  *    one single-shard KvStore<NativeEnv> over its own file-backed
  *    PersistentArena (dataDir/shard-<i>.lpdb), honoring the
  *    single-writer-per-shard contract of src/kernels/env.hh. Workers
- *    coalesce mutations into the store's LP batches and commit on
- *    batch-full, when their queue drains, or -- for a queue that
- *    never drains -- when the oldest unacknowledged mutation exceeds
- *    the flush deadline.
+ *    coalesce mutations into the store's LP batches: an epoch
+ *    commits when its batch fills or at the end of the worker round
+ *    that staged it, whichever comes first.
  *
  *  - Acknowledgement = recoverability. A mutation's reply is held
  *    until its batch's epoch commits (LP/WAL); the eager backend
@@ -79,14 +78,6 @@ struct ServerConfig
 
     core::ChecksumKind checksum = core::ChecksumKind::Modular;
 
-    /**
-     * Commit an underfilled batch once its oldest unacknowledged
-     * mutation has waited this long. Workers commit whenever their
-     * queue drains, so this only bounds ack latency under a queue
-     * that never drains.
-     */
-    std::uint64_t flushDeadlineUs = 2000;
-
     /** Backpressure: outstanding ops allowed per connection. */
     std::uint32_t maxInflightPerConn = 256;
 
@@ -128,8 +119,8 @@ struct ServerConfig
 
     /**
      * When non-empty, collect trace spans (epoch commits, folds,
-     * recovery, deadline commits, connection lifecycles) and write a
-     * Chrome trace-event JSON file here during shutdown.
+     * recovery, connection lifecycles) and write a Chrome
+     * trace-event JSON file here during shutdown.
      */
     std::string traceOut;
 

@@ -262,7 +262,6 @@ struct Server::Impl
         std::atomic<std::uint64_t> statQueueDepth{0};
         std::atomic<std::uint64_t> statEpochs{0};
         std::atomic<std::uint64_t> statFolds{0};
-        std::atomic<std::uint64_t> statDeadlineCommits{0};
         std::atomic<std::uint64_t> statTxnCommits{0};  ///< fast path
         std::atomic<std::uint64_t> statTxnAborts{0};   ///< fast path
 
@@ -342,10 +341,9 @@ struct Server::Impl
         std::deque<OpItem> deferred;
 
         /**
-         * Reply payloads awaiting epoch commit. Runs in lockstep
-         * with the shard CommitPipeline's pending-ack queue, which
-         * owns the epochs and deadlines; this deque only carries
-         * what the pipeline doesn't know (who to reply to).
+         * The worker's one ack queue: mutations awaiting their
+         * epoch's commit, in staging (hence epoch) order, with who
+         * to reply to. Empty at the end of every round.
          */
         struct Pending
         {

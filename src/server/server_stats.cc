@@ -89,8 +89,6 @@ Server::Impl::metricsTextNow() const
         mt.counter(promName(sn::epochsCommitted), lab,
                    rel(w.statEpochs));
         mt.counter(promName(sn::folds), lab, rel(w.statFolds));
-        mt.counter(promName(sn::deadlineCommits), lab,
-                   rel(w.statDeadlineCommits));
         mt.gauge(promName(sn::committedEpoch), lab,
                  rel(w.statCommittedEpoch));
         mt.gauge(promName(sn::queueDepth), lab,

@@ -171,7 +171,6 @@ Server::Impl::prepareTxnPart(Worker &w,
                                         .tStagedNs = obs::nowNs(),
                                         .txn = ctx,
                                         .txnBody = std::move(body)});
-    w.kv->pipeline(0).notePending(epoch, Clock::now());
 }
 
 /**

@@ -1,9 +1,9 @@
 /**
  * @file
  * The shared-nothing shard worker: store open/recovery, the
- * dequeue-dispatch-commit-release round, strict-FIFO deferral, and
- * the ack pipeline glue. One thread per shard; see server_impl.hh
- * for the ownership contract.
+ * dequeue-dispatch-commit-release round (the served commit rule),
+ * strict-FIFO deferral, and ack release. One thread per shard; see
+ * server_impl.hh for the ownership contract.
  */
 
 #include "server/server_impl.hh"
@@ -33,7 +33,6 @@ Server::Impl::openStore(Worker &w)
     scfg.batchOps = cfg.batchOps;
     scfg.foldBatches = cfg.foldBatches;
     scfg.checksum = cfg.checksum;
-    scfg.flushDeadlineUs = cfg.flushDeadlineUs;
     const std::string path = shardPath(w.index);
     struct stat st{};
     const bool attach = ::stat(path.c_str(), &st) == 0 &&
@@ -130,34 +129,32 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
 }
 
 /**
- * Release every pending ack whose epoch has committed, and
- * refresh this worker's stat mirrors from the shard pipeline's
- * counters (the single source of truth for epoch accounting).
- * Returns how many acks were released.
+ * Release, in order, every pending ack whose epoch has committed,
+ * and refresh this worker's stat mirrors (epoch accounting comes
+ * from the shard pipeline's counters). Returns how many acks were
+ * released.
  */
 std::size_t
 Server::Impl::releaseCommitted(Worker &w)
 {
-    engine::CommitPipeline &pl = w.kv->pipeline(0);
     const std::uint64_t ce = w.kv->committedEpoch(0);
     const std::uint64_t prevCe =
         w.statCommittedEpoch.load(std::memory_order_relaxed);
-    const std::size_t n = pl.releaseUpTo(ce);
-    for (std::size_t i = 0; i < n; ++i) {
-        LP_ASSERT(!w.pending.empty() &&
-                      w.pending.front().epoch <= ce,
-                  "reply queue out of sync with pipeline acks");
+    // A release can stage new work (see workerMain); it lands behind
+    // the committed prefix in a later epoch, and deque push_back
+    // keeps the front reference valid.
+    std::size_t n = 0;
+    while (!w.pending.empty() && w.pending.front().epoch <= ce) {
         releaseAck(w, w.pending.front());
         w.pending.pop_front();
+        ++n;
     }
     w.participant->sweepFrees(w.env);
-    const engine::PipelineCounters &c = pl.counters();
-    w.statAcks.store(c.acksReleased, std::memory_order_relaxed);
+    const engine::PipelineCounters &c = w.kv->pipeline(0).counters();
+    w.statAcks.fetch_add(n, std::memory_order_relaxed);
     w.statEpochs.store(c.epochsCommitted,
                        std::memory_order_relaxed);
     w.statFolds.store(c.folds, std::memory_order_relaxed);
-    w.statDeadlineCommits.store(c.deadlineCommits,
-                                std::memory_order_relaxed);
     w.statCommittedEpoch.store(ce, std::memory_order_relaxed);
     // Seal the flight recorder on the epoch-commit cadence: the
     // watermark publish is one header write, and riding commits
@@ -326,17 +323,14 @@ Server::Impl::processOp(Worker &w, OpItem &op)
                 ? w.kv->put(w.env, op.key, op.value, op.traceId)
                 : w.kv->del(w.env, op.key, op.traceId);
         w.statMuts.fetch_add(1, std::memory_order_relaxed);
-        // Every mutation waits for its epoch to commit; the
-        // following releaseCommitted() releases it the same round
-        // for backends that commit per op (eager, and WAL when the
-        // op filled its batch).
+        // Every mutation waits for its epoch to commit, which
+        // happens by the end of this round (workerMain).
         w.pending.push_back(Worker::Pending{.connId = op.connId,
                                             .reqId = op.reqId,
                                             .epoch = epoch,
                                             .tStagedNs = obs::nowNs(),
                                             .traceId = op.traceId,
                                             .batch = op.batch});
-        w.kv->pipeline(0).notePending(epoch, Clock::now());
         return;
       }
       case OpItem::Kind::Txn: {
@@ -365,7 +359,6 @@ Server::Impl::processOp(Worker &w, OpItem &op)
                                     .epoch = e,
                                     .tStagedNs = obs::nowNs(),
                                     .traceId = op.txn->traceId});
-                w.kv->pipeline(0).notePending(e, Clock::now());
             });
         txn::LockTable::Events ev;
         w.participant->release(op.txn->txnid, part, ev);
@@ -399,10 +392,8 @@ Server::Impl::workerMain(Worker &w)
     readyCv.notify_all();
 
     std::vector<OpItem> local;
-    engine::CommitPipeline &pl = w.kv->pipeline(0);
     for (;;) {
         bool stopping = false;
-        bool drained = false;
         local.clear();
         {
             std::unique_lock<std::mutex> lk(w.mu);
@@ -410,9 +401,9 @@ Server::Impl::workerMain(Worker &w)
                 return w.stopFlag || !w.q.empty();
             };
             if (w.q.empty() && !w.stopFlag) {
-                // The last round saw its queue drained and committed,
+                // Every round ends committed and released (below),
                 // so no ack is left waiting on an epoch commit.
-                LP_ASSERT(!pl.hasPending(),
+                LP_ASSERT(w.pending.empty(),
                           "worker idling with acks pending");
                 if (cfg.scrubIntervalMs > 0)
                     // Wake for the next scrub step even with no
@@ -429,8 +420,7 @@ Server::Impl::workerMain(Worker &w)
                 local.push_back(std::move(w.q.front()));
                 w.q.pop_front();
             }
-            drained = w.q.empty();
-            stopping = w.stopFlag && drained;
+            stopping = w.stopFlag && w.q.empty();
             w.statQueueDepth.store(w.q.size(),
                                    std::memory_order_relaxed);
         }
@@ -438,28 +428,18 @@ Server::Impl::workerMain(Worker &w)
         for (OpItem &op : local)
             dispatchOp(w, op);
 
-        // Commit an underfilled epoch once nothing is left to batch
-        // it with (the take drained the queue), or when its oldest
-        // ack outwaited the flush deadline under a queue that never
-        // drains. The pipeline owns the policy
-        // (engine/commit_pipeline.hh). Releasing an ack can stage
-        // new mutations -- a fast-path TXN's lock release unparks a
-        // waiting part or runs a deferred PUT -- so repeat until a
-        // pass neither commits nor releases anything.
-        for (;;) {
-            const engine::CommitTrigger why =
-                pl.commitTrigger(Clock::now(), drained);
-            if (why == engine::CommitTrigger::Deadline) {
-                pl.noteDeadlineCommit();
-                obs::traceInstant(w.ring, "deadline_commit",
-                                  pl.lastCommitted() + 1);
-            }
-            if (why != engine::CommitTrigger::None)
-                w.kv->commitBatches(w.env);
-            if (releaseCommitted(w) == 0 &&
-                why == engine::CommitTrigger::None)
-                break;
-        }
+        // The served commit rule: every round ends by committing
+        // the shard's open epoch and releasing its acks (a full
+        // batch committed inside stage() already). An LP commit is
+        // a few plain stores, no flush or fence, so holding an ack
+        // past its round would coalesce nothing and only add
+        // latency. Releasing an ack can stage new work -- a
+        // fast-path TXN's lock release unparks a waiting part or
+        // runs a deferred PUT -- so repeat while a release leaves
+        // acks pending.
+        do {
+            w.kv->commitBatches(w.env);
+        } while (releaseCommitted(w) != 0 && !w.pending.empty());
 
         // Online scrub: strictly off the request path (only on
         // rounds whose queue drained empty) and rate-limited, so

@@ -7,7 +7,7 @@
  * per-shard persistent structures its discipline needs (journal
  * with its batch digests, WAL, metadata blocks) and mutates the shared
  * SlotTable through the StoreContext; epoch numbering and
- * batch/fold/deadline accounting are delegated to the per-shard
+ * batch/fold accounting are delegated to the per-shard
  * engine::CommitPipeline so the same scheduling drives the store and
  * lp::server.
  *
@@ -17,7 +17,7 @@
  *    (and folding) when the pipeline says the period elapsed; returns
  *    the epoch the op landed in.
  *  - commitEpoch(): close and commit the open epoch even if
- *    underfilled (group-commit deadline, checkpoint).
+ *    underfilled (end of a server round, checkpoint).
  *  - fold(): eager checkpoint -- make every committed epoch durable
  *    in the table. No-op for backends whose commit is already
  *    durable (eager, WAL).

@@ -70,8 +70,6 @@ sumPipelineCounters(const KvStore<Env> &store)
         sum.opsStaged += c.opsStaged;
         sum.epochsCommitted += c.epochsCommitted;
         sum.folds += c.folds;
-        sum.deadlineCommits += c.deadlineCommits;
-        sum.acksReleased += c.acksReleased;
     }
     return sum;
 }

@@ -235,7 +235,7 @@ TEST(FlightRing, TeesFromATraceRingBeyondItsCapacity)
     TraceRing ring(8);
     ring.attachSink(&flight);
     for (std::uint64_t i = 0; i < 40; ++i)
-        traceInstant(&ring, "deadline_commit", i);
+        traceInstant(&ring, "epoch_commit", i);
     flight.seal();
     EXPECT_EQ(ring.dropped(), 32u);
     EXPECT_EQ(flight.recorded(), 40u);

@@ -151,24 +151,34 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ServerTxnBackends,
                              return store::backendName(info.param);
                          });
 
-class ServerDrainCommit
+/** @p n keys routed to shard @p shard of 2, from 1000 up. */
+std::vector<std::uint64_t>
+keysOnShard(int shard, std::size_t n)
+{
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1000; keys.size() < n; ++k)
+        if (store::shardOfKey(k, 2) == shard)
+            keys.push_back(k);
+    return keys;
+}
+
+class ServerRoundCommit
     : public ::testing::TestWithParam<store::Backend>
 {
 };
 
 /**
- * Acks are released when a worker's queue drains, not at the flush
- * deadline: with a 10 s deadline on the batching backends, a lone
- * PUT and a lone fast-path TXN each come back well inside 1 s.
+ * A worker commits its shard's open epoch at the end of every round,
+ * so a lone PUT and a lone fast-path TXN each come back well inside
+ * 1 s.
  */
-TEST_P(ServerDrainCommit, LoneWritesBeatALongDeadline)
+TEST_P(ServerRoundCommit, LoneWritesAckPromptly)
 {
     const std::string dir = makeTempDir();
     ServerConfig cfg;
     cfg.dataDir = dir;
     cfg.shards = 2;
     cfg.backend = GetParam();
-    cfg.flushDeadlineUs = 10000000;
     cfg.quiet = true;
     Server srv(cfg);
     srv.start();
@@ -185,14 +195,14 @@ TEST_P(ServerDrainCommit, LoneWritesBeatALongDeadline)
     const auto p = c.put(5, 50, 10000);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->status, Status::Ok);
-    EXPECT_LT(elapsed(t0), Ms(1000)) << "PUT ack waited for the deadline";
+    EXPECT_LT(elapsed(t0), Ms(1000)) << "PUT ack was held";
 
     // One key: a single-shard (fast-path) transaction.
     t0 = std::chrono::steady_clock::now();
     const auto t = c.txn({top(TxnOp::Kind::Add, 5, 1)}, 10000);
     ASSERT_TRUE(t.has_value());
     EXPECT_EQ(t->status, Status::Ok);
-    EXPECT_LT(elapsed(t0), Ms(1000)) << "TXN ack waited for the deadline";
+    EXPECT_LT(elapsed(t0), Ms(1000)) << "TXN ack was held";
 
     const auto g = c.get(5, 10000);
     ASSERT_TRUE(g && g->status == Status::Ok);
@@ -200,23 +210,82 @@ TEST_P(ServerDrainCommit, LoneWritesBeatALongDeadline)
     srv.stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(BatchingBackends, ServerDrainCommit,
-                         ::testing::Values(store::Backend::Lp,
-                                           store::Backend::Wal),
+/**
+ * The commit rule does not wait for an idle queue: while a second
+ * connection keeps a window of GETs in flight at the same shard, a
+ * PUT there is still acked well inside 1 s.
+ */
+TEST_P(ServerRoundCommit, PutAcksUnderPipelinedGets)
+{
+    const std::string dir = makeTempDir();
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.backend = GetParam();
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    const auto keys = keysOnShard(0, 2);
+    Client reader;
+    connectToServer(reader, dir);
+    std::atomic<bool> stop{false};
+    std::atomic<bool> readerDone{false};
+    std::atomic<std::uint64_t> gets{0};
+    std::thread load([&] {
+        // A 64-deep window: every reply is answered with a new GET
+        // until stop, then the window drains.
+        const auto get = [&] {
+            Request r;
+            r.op = Op::Get;
+            r.id = reader.nextId();
+            r.key = keys[1];
+            return r;
+        };
+        std::vector<Request> burst;
+        for (int i = 0; i < 64; ++i)
+            burst.push_back(get());
+        int inflight = reader.sendRequests(burst) ? 64 : 0;
+        while (inflight > 0 && reader.recvResponse(10000)) {
+            --inflight;
+            gets.fetch_add(1, std::memory_order_relaxed);
+            if (!stop.load(std::memory_order_relaxed) &&
+                reader.sendRequest(get()))
+                ++inflight;
+        }
+        readerDone.store(true);
+    });
+    // Start the PUT once the GET stream is flowing.
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (gets.load(std::memory_order_relaxed) < 1000 &&
+           !readerDone.load() &&
+           std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const bool flowing = !readerDone.load();
+
+    Client writer;
+    connectToServer(writer, dir);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto p = writer.put(keys[0], 7, 10000);
+    const auto took = std::chrono::steady_clock::now() - t0;
+    const std::uint64_t getsAtAck = gets.load();
+    stop.store(true);
+    load.join();
+
+    EXPECT_TRUE(flowing) << "GET stream ended before the PUT";
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->status, Status::Ok);
+    EXPECT_LT(took, std::chrono::seconds(1)) << "PUT ack was held";
+    EXPECT_GE(getsAtAck, 1000u);
+    srv.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, ServerRoundCommit,
+                         ::testing::ValuesIn(kBackends),
                          [](const auto &info) {
                              return store::backendName(info.param);
                          });
-
-/** @p n keys routed to shard @p shard of 2, from 1000 up. */
-std::vector<std::uint64_t>
-keysOnShard(int shard, std::size_t n)
-{
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t k = 1000; keys.size() < n; ++k)
-        if (store::shardOfKey(k, 2) == shard)
-            keys.push_back(k);
-    return keys;
-}
 
 /** @p frames full BATCH frames of puts over @p keys, ids from
  *  @p firstId: 4096 puts each, a backlog its worker needs a few
@@ -347,8 +416,8 @@ TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
  * there wait. One write then sends a BATCH on that shard, a
  * fast-path transaction putting key b, and a PUT of b: the PUT
  * defers behind the transaction's lock, and runs -- staging a new
- * mutation -- only when the transaction's ack is released after the
- * queue drained. Both must be acked, in order.
+ * mutation -- only when the transaction's ack is released at the end
+ * of the round. Both must be acked, in order.
  */
 TEST(ServerTxnDrain, DeferredPutRestartedByAnAckCommits)
 {

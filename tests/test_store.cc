@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -434,12 +435,13 @@ TEST(StoreConfigTest, ParseBackendRoundTrips)
 /**
  * lpbench's simulated phase (LP, one shard, 32-op epochs folded every
  * 64, 16384 records, YCSB-A) on the paper's machine, shortened to
- * 200k ops. The simulator is a pure function of its input, so these
+ * @p ops ops. The simulator is a pure function of its input, so these
  * numbers move only when the store's persistent writes or executed
  * work change.
  */
 StoreRunResult
-runLpbenchSimPhase(bool zipfian, int batchOps, int foldBatches)
+runLpbenchSimPhase(bool zipfian, int batchOps, int foldBatches,
+                   std::uint64_t ops = 200000)
 {
     StoreConfig scfg;
     scfg.capacity = 65536;
@@ -448,7 +450,7 @@ runLpbenchSimPhase(bool zipfian, int batchOps, int foldBatches)
     scfg.foldBatches = foldBatches;
     YcsbParams p;
     p.records = 16384;
-    p.ops = 200000;
+    p.ops = ops;
     p.mix = YcsbMix::A;
     p.zipfian = zipfian;
     sim::MachineConfig mcfg;  // bench::paperMachine(1)
@@ -462,31 +464,42 @@ runLpbenchSimPhase(bool zipfian, int batchOps, int foldBatches)
 
 /**
  * Gate on the deterministic simulator cost: NVMM writes per mutation
- * and simulated cycles within +-0.5% of the recorded values. A
- * change that moves them must re-record them here and say why in
- * the BENCH files it regenerates.
+ * and simulated cycles within +-0.5% of the recorded values, per
+ * epoch size B. B = 32 is lpbench's own phase at its 200k ops; the
+ * one- and four-op epochs stress the commit path and run 50k ops to
+ * keep the test short. A change that moves them must re-record them
+ * here and say why in the BENCH files it regenerates.
  */
 TEST(StoreSimCost, LpbenchPhaseWithinBand)
 {
     struct Expect
     {
         bool zipfian;
+        int batchOps;
+        std::uint64_t ops;
         double writesPerMutation;
         double execCycles;
     };
     const Expect cases[] = {
-        {true, 0.87883, 42277253.0},
-        {false, 1.39065, 75825402.0},
+        {true, 32, 200000, 0.87883, 42277253.0},
+        {false, 32, 200000, 1.39065, 75825402.0},
+        {true, 4, 50000, 1.155236, 12948998.0},
+        {false, 4, 50000, 1.467218, 19532756.0},
+        {true, 1, 50000, 1.602642, 17977891.0},
+        {false, 1, 50000, 1.798536, 23479585.0},
     };
     for (const Expect &c : cases) {
-        const StoreRunResult out = runLpbenchSimPhase(c.zipfian, 32, 64);
-        const char *dist = c.zipfian ? "zipf" : "uniform";
-        EXPECT_TRUE(out.verified) << dist;
+        const StoreRunResult out =
+            runLpbenchSimPhase(c.zipfian, c.batchOps, 64, c.ops);
+        const std::string at =
+            std::string(c.zipfian ? "zipf" : "uniform") +
+            " B=" + std::to_string(c.batchOps);
+        EXPECT_TRUE(out.verified) << at;
         EXPECT_NEAR(out.writesPerMutation, c.writesPerMutation,
                     0.005 * c.writesPerMutation)
-            << dist;
+            << at;
         EXPECT_NEAR(out.execCycles, c.execCycles, 0.005 * c.execCycles)
-            << dist;
+            << at;
     }
 }
 

@@ -39,6 +39,7 @@
  *   lazyper_cli postmortem --data-dir /tmp/lpdb --out crash.json
  */
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -140,6 +141,24 @@ parseScheme(const std::string &s)
     fatal("unknown scheme: " + s);
 }
 
+/**
+ * The value of a count flag (--shards, --batch-ops, --fold-batches):
+ * a base-10 int >= 1 that spans the whole string. Anything else is a
+ * usage error (@p usage exits 2); atoi would read "0" and "abc"
+ * alike as 0, which the store rejects by aborting.
+ */
+int
+parseCount(const std::string &s, void (*usage)(const char *),
+           const char *argv0)
+{
+    int v = 0;
+    const char *end = s.data() + s.size();
+    const auto [at, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || at != end || v < 1)
+        usage(argv0);
+    return v;
+}
+
 core::ChecksumKind
 parseChecksum(const std::string &s)
 {
@@ -195,8 +214,6 @@ serveUsage(const char *argv0)
         "  --capacity C    max live keys per shard   (default 16384)\n"
         "  --batch-ops B / --fold-batches F\n"
         "  --checksum parity|modular|adler32|combined|crc32\n"
-        "  --flush-deadline-us U  partial-batch commit deadline for a "
-        "queue that never drains (default 2000)\n"
         "  --max-inflight N   per-connection backpressure "
         "(default 256)\n"
         "  --max-conns N      connection cap         (default 256)\n"
@@ -233,21 +250,18 @@ runServeCommand(int argc, char **argv)
         } else if (arg == "--port") {
             cfg.port = std::atoi(next().c_str());
         } else if (arg == "--shards") {
-            cfg.shards = std::atoi(next().c_str());
+            cfg.shards = parseCount(next(), serveUsage, argv[0]);
         } else if (arg == "--backend") {
             cfg.backend = store::parseBackend(next());
         } else if (arg == "--capacity") {
             cfg.capacityPerShard =
                 std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--batch-ops") {
-            cfg.batchOps = std::atoi(next().c_str());
+            cfg.batchOps = parseCount(next(), serveUsage, argv[0]);
         } else if (arg == "--fold-batches") {
-            cfg.foldBatches = std::atoi(next().c_str());
+            cfg.foldBatches = parseCount(next(), serveUsage, argv[0]);
         } else if (arg == "--checksum") {
             cfg.checksum = parseChecksum(next());
-        } else if (arg == "--flush-deadline-us") {
-            cfg.flushDeadlineUs =
-                std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--max-inflight") {
             cfg.maxInflightPerConn =
                 std::uint32_t(std::atoi(next().c_str()));
@@ -305,11 +319,11 @@ runStoreCommand(int argc, char **argv)
         } else if (arg == "--theta") {
             p.theta = std::atof(next().c_str());
         } else if (arg == "--shards") {
-            scfg.shards = std::atoi(next().c_str());
+            scfg.shards = parseCount(next(), storeUsage, argv[0]);
         } else if (arg == "--batch-ops") {
-            scfg.batchOps = std::atoi(next().c_str());
+            scfg.batchOps = parseCount(next(), storeUsage, argv[0]);
         } else if (arg == "--fold-batches") {
-            scfg.foldBatches = std::atoi(next().c_str());
+            scfg.foldBatches = parseCount(next(), storeUsage, argv[0]);
         } else if (arg == "--capacity") {
             scfg.capacity = std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--checksum") {
@@ -607,9 +621,8 @@ runTopCommand(int argc, char **argv)
             snap.find("lp_trace_drops_total{shard=\"0\"}") !=
             snap.end();
         std::vector<std::string> hdr = {
-            "shard", "get/s", "mut/s", "epoch/s", "fold/s", "dlc/s",
-            "qdepth", "epoch", "commit p99", "qwait p99",
-            "cwait p99"};
+            "shard", "get/s", "mut/s", "epoch/s", "fold/s", "qdepth",
+            "epoch", "commit p99", "qwait p99", "cwait p99"};
         if (hasScans) {
             hdr.push_back("scan/s");
             hdr.push_back("scan p99");
@@ -644,9 +657,6 @@ runTopCommand(int argc, char **argv)
                     0),
                 stats::Table::num(scalar(d, "lp_folds" + lab) / secs,
                                   0),
-                stats::Table::num(
-                    scalar(d, "lp_deadline_commits" + lab) / secs,
-                    0),
                 stats::Table::num(
                     scalar(snap, "lp_queue_depth" + lab), 0),
                 stats::Table::num(
@@ -785,9 +795,9 @@ runInjectCommand(int argc, char **argv)
         } else if (arg == "--capacity") {
             scfg.capacity = std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--batch-ops") {
-            scfg.batchOps = std::atoi(next().c_str());
+            scfg.batchOps = parseCount(next(), injectUsage, argv[0]);
         } else if (arg == "--fold-batches") {
-            scfg.foldBatches = std::atoi(next().c_str());
+            scfg.foldBatches = parseCount(next(), injectUsage, argv[0]);
         } else if (arg == "--checksum") {
             scfg.checksum = parseChecksum(next());
         } else if (arg == "--flight-events") {
