@@ -147,7 +147,7 @@ inline constexpr const char *scrubPasses = "scrub_passes";
 /** 1 when the shard is quarantined read-only, else 0 (gauge). */
 inline constexpr const char *quarantined = "quarantined";
 
-/** KvStore::scrubStep(): one bounded online-scrub step. */
+/** Shard::scrubStep(): one bounded online-scrub step. */
 inline constexpr const char *scrubLatNs = "scrub_lat_ns";
 /// @}
 

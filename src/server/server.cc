@@ -136,8 +136,8 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         // shard before they queue (the worker re-checks; this
         // mirror read just saves the round trip). GETs pass.
         if (req.op != Op::Get &&
-            workers[std::size_t(routeShard(
-                       req.key, cfg.shards))]->kv->quarantined(0)) {
+            workers[std::size_t(store::shardOfKey(req.key, cfg.shards))]
+                ->shard->quarantined()) {
             statFaults.fetch_add(1, std::memory_order_relaxed);
             localReply(c, statusReply(Status::Fault, req.id));
             return;
@@ -158,7 +158,7 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         it.value = req.value;
         it.tEnqNs = obs::nowNs();
         it.traceId = traceId;
-        enqueue(routeShard(req.key, cfg.shards), std::move(it));
+        enqueue(store::shardOfKey(req.key, cfg.shards), std::move(it));
         return;
       }
       case Op::Scan: {
@@ -209,8 +209,8 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         // sub-ops on healthy shards have applied -- BATCH is not
         // transactional across shards.)
         for (const BatchOp &b : req.batch) {
-            if (workers[std::size_t(routeShard(b.key, cfg.shards))]
-                    ->kv->quarantined(0)) {
+            if (workers[std::size_t(store::shardOfKey(b.key, cfg.shards))]
+                    ->shard->quarantined()) {
                 statFaults.fetch_add(1, std::memory_order_relaxed);
                 localReply(c, statusReply(Status::Fault, req.id));
                 return;
@@ -236,7 +236,7 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             it.tEnqNs = tEnq;
             it.traceId = traceId;
             it.batch = ctx;
-            enqueue(routeShard(b.key, cfg.shards), std::move(it));
+            enqueue(store::shardOfKey(b.key, cfg.shards), std::move(it));
         }
         return;
       }

@@ -52,19 +52,6 @@ namespace lp::server
 
 using Clock = std::chrono::steady_clock;
 
-/**
- * Server-level key router: store::shardOfKey, the exact function
- * KvStore routes with, so the distribution matches the store's own
- * sharding. Each worker's store is configured with shards = 1, so
- * inside a worker every key maps to the single shard that worker
- * owns.
- */
-inline int
-routeShard(std::uint64_t key, int shards)
-{
-    return store::shardOfKey(key, shards);
-}
-
 /** A payload-less response (Ok/NotFound/Retry/Err ack). */
 inline Response
 statusReply(Status s, std::uint64_t id)
@@ -269,7 +256,7 @@ struct Server::Impl
         // the acceptor reads them for METRICS under the
         // obs::Histogram single-writer/any-reader contract (the
         // store-side stage/commit/fold/recover histograms live in
-        // kv->shardObs(0)).
+        // shard->obs()).
         obs::Histogram queueNs;       ///< enqueue -> worker dequeue
         obs::Histogram commitWaitNs;  ///< staged -> ack released
         obs::Histogram txnCommitNs;   ///< fast-path TXN accept -> ack
@@ -295,6 +282,13 @@ struct Server::Impl
         kernels::NativeEnv env;
         std::unique_ptr<pmem::PersistentArena> arena;
         std::unique_ptr<store::KvStore<kernels::NativeEnv>> kv;
+        /**
+         * The one shard of `kv`, bound by openStore: the worker's
+         * ops, commits and scrub call it directly. The acceptor
+         * reads only its any-thread accessors (quarantined, obs,
+         * media counters, index gauges).
+         */
+        store::Shard<kernels::NativeEnv> *shard = nullptr;
         store::RecoveryReport report;
         bool attached = false;
 

@@ -81,9 +81,9 @@ Server::Impl::metricsTextNow() const
         mt.counter(promName(sn::txnCommits), lab, double(tc));
         mt.counter(promName(sn::txnAborts), lab, double(ta));
         mt.gauge(promName(sn::indexEntries), lab,
-                 double(w.kv->indexEntries(0)));
+                 double(w.shard->indexEntries()));
         mt.gauge(promName(sn::indexBytes), lab,
-                 double(w.kv->indexBytes(0)));
+                 double(w.shard->indexBytes()));
         mt.counter(promName(sn::acksReleased), lab,
                    rel(w.statAcks));
         mt.counter(promName(sn::epochsCommitted), lab,
@@ -103,7 +103,7 @@ Server::Impl::metricsTextNow() const
                    double(w.report.batchesDiscarded));
         mt.counter(promName(sn::walUndone), lab,
                    w.report.walUndone ? 1.0 : 0.0);
-        const store::MediaCounters &mc = w.kv->mediaCounters(0);
+        const store::MediaCounters &mc = w.shard->mediaCounters();
         mt.counter("lp_media_repaired_total", lab, rel(mc.repaired));
         mt.counter("lp_media_unrepairable_total", lab,
                    rel(mc.unrepairable));
@@ -112,8 +112,8 @@ Server::Impl::metricsTextNow() const
         mt.counter(promName(sn::scrubPasses), lab,
                    rel(mc.scrubPasses));
         mt.gauge(promName(sn::quarantined), lab,
-                 w.kv->quarantined(0) ? 1.0 : 0.0);
-        const obs::ShardObs &ob = w.kv->shardObs(0);
+                 w.shard->quarantined() ? 1.0 : 0.0);
+        const obs::ShardObs &ob = w.shard->obs();
         mt.histogramNs(promName(sn::stageLatNs), lab, ob.stageNs);
         mt.histogramNs(promName(sn::commitLatNs), lab,
                        ob.commitNs);

@@ -144,7 +144,7 @@ Server::Impl::prepareTxnPart(Worker &w,
     // Quarantine backstop on the owning thread (the acceptor's
     // precheck can race with a scrub discovering corruption). A
     // full PREPARE table aborts the same way, minus the fault.
-    if (!part.writes.empty() && w.kv->quarantined(0)) {
+    if (!part.writes.empty() && w.shard->quarantined()) {
         abortHeld(true);
         return;
     }
@@ -213,8 +213,8 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     // so this mirror read just refuses early.
     for (const TxnOp &t : req.txn) {
         if (t.kind != TxnOp::Kind::Get &&
-            workers[std::size_t(routeShard(t.key, cfg.shards))]
-                ->kv->quarantined(0)) {
+            workers[std::size_t(store::shardOfKey(t.key, cfg.shards))]
+                ->shard->quarantined()) {
             statFaults.fetch_add(1, std::memory_order_relaxed);
             localReply(c, statusReply(Status::Fault, req.id));
             return;
@@ -233,8 +233,9 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     ctx->traceId = obs::traceIdOf(c.id, req.id);
     ctx->tStartNs = obs::nowNs();
     ctx->ops = std::move(req.txn);
-    ctx->split(
-        [&](std::uint64_t key) { return routeShard(key, cfg.shards); });
+    ctx->split([&](std::uint64_t key) {
+        return store::shardOfKey(key, cfg.shards);
+    });
     ctx->fastPath = txn::fastPath(*ctx, cfg.backend, cfg.batchOps);
     ctx->votesLeft.store(int(ctx->parts.size()),
                          std::memory_order_relaxed);

@@ -19,10 +19,10 @@ namespace lp::server
 {
 
 /**
- * Open (or re-attach) this worker's single-shard store. Runs on
- * the worker's own thread so the debug owner binding and all
- * recovery table writes happen on the thread that will serve the
- * shard.
+ * Open (or re-attach) this worker's single-shard store and bind its
+ * one Shard. Runs on the worker's own thread so the debug owner
+ * binding and all recovery table writes happen on the thread that
+ * will serve the shard.
  */
 void
 Server::Impl::openStore(Worker &w)
@@ -55,29 +55,31 @@ Server::Impl::openStore(Worker &w)
             *w.arena, cfg.flightEvents, std::uint32_t(w.index));
     w.kv = std::make_unique<store::KvStore<kernels::NativeEnv>>(
         *w.arena, scfg, cfg.backend, attach);
+    store::KvStore<kernels::NativeEnv> &kv = *w.kv;
+    w.shard = &kv.shard(0);  // scfg.shards == 1: every key lands here
     w.participant =
         std::make_unique<txn::Participant<kernels::NativeEnv>>(
-            *w.arena, *w.kv, 0, cfg.txnPrepareSlots, attach);
+            *w.arena, kv, 0, cfg.txnPrepareSlots, attach);
     // Attach the trace ring before recovery so the replay's
     // "recover_shard" span lands in the collector -- and tee it
     // into the flight recorder, which persists every span this
     // worker emits (the volatile ring stops at capacity; the
     // flight copy keeps wrapping).
     if (w.ring) {
-        w.kv->attachTraceRing(0, w.ring);
+        w.shard->attachTraceRing(w.ring);
         if (w.flight)
             w.ring->attachSink(w.flight.get());
     }
     if (attach) {
-        w.report = w.kv->recover(w.env);
+        w.report = kv.recover(w.env);
         w.attached = true;
     } else {
         w.arena->persistAll();
     }
-    w.statCommittedEpoch.store(w.kv->committedEpoch(0),
+    w.statCommittedEpoch.store(w.shard->committedEpoch(),
                                std::memory_order_relaxed);
     w.lastScrub = Clock::now();
-    if (w.kv->quarantined(0)) {
+    if (w.shard->quarantined()) {
         w.quarantineLogged = true;
         warn("lp::server shard " + std::to_string(w.index) +
              " has unrepairable media corruption; serving "
@@ -137,7 +139,7 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
 std::size_t
 Server::Impl::releaseCommitted(Worker &w)
 {
-    const std::uint64_t ce = w.kv->committedEpoch(0);
+    const std::uint64_t ce = w.shard->committedEpoch();
     const std::uint64_t prevCe =
         w.statCommittedEpoch.load(std::memory_order_relaxed);
     // A release can stage new work (see workerMain); it lands behind
@@ -150,7 +152,7 @@ Server::Impl::releaseCommitted(Worker &w)
         ++n;
     }
     w.participant->sweepFrees(w.env);
-    const engine::PipelineCounters &c = w.kv->pipeline(0).counters();
+    const engine::PipelineCounters &c = w.shard->pipeline().counters();
     w.statAcks.fetch_add(n, std::memory_order_relaxed);
     w.statEpochs.store(c.epochsCommitted,
                        std::memory_order_relaxed);
@@ -241,7 +243,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
     }
     switch (op.kind) {
       case OpItem::Kind::Get: {
-        const auto v = w.kv->get(w.env, op.key);
+        const auto v = w.shard->get(w.env, op.key);
         w.statGets.fetch_add(1, std::memory_order_relaxed);
         Response r;
         r.status = v ? Status::Ok : Status::NotFound;
@@ -303,7 +305,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // fast-path check can race with a scrub discovering
         // corruption, so the authoritative refusal lives here,
         // on the thread that owns the shard.
-        if (w.kv->quarantined(0)) {
+        if (w.shard->quarantined()) {
             if (op.batch) {
                 op.batch->faulted.store(
                     true, std::memory_order_release);
@@ -318,10 +320,10 @@ Server::Impl::processOp(Worker &w, OpItem &op)
                       statusReply(Status::Fault, op.reqId));
             return;
         }
-        const std::uint64_t epoch =
-            op.kind == OpItem::Kind::Put
-                ? w.kv->put(w.env, op.key, op.value, op.traceId)
-                : w.kv->del(w.env, op.key, op.traceId);
+        const bool isPut = op.kind == OpItem::Kind::Put;
+        const std::uint64_t epoch = w.shard->stage(
+            w.env, isPut ? store::JOp::Put : store::JOp::Del, op.key,
+            isPut ? op.value : 0, op.traceId);
         w.statMuts.fetch_add(1, std::memory_order_relaxed);
         // Every mutation waits for its epoch to commit, which
         // happens by the end of this round (workerMain).
@@ -370,7 +372,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // the coordinator's decision-log scan): replay this
         // shard's prepare table against the decision index.
         w.txnReport = w.participant->recover(
-            w.env, w.kv->committedEpoch(0), dlog->index());
+            w.env, w.shard->committedEpoch(), dlog->index());
         {
             std::lock_guard<std::mutex> g(readyMu);
             ++txnReadyCount;
@@ -438,7 +440,7 @@ Server::Impl::workerMain(Worker &w)
         // runs a deferred PUT -- so repeat while a release leaves
         // acks pending.
         do {
-            w.kv->commitBatches(w.env);
+            w.shard->commit(w.env);
         } while (releaseCommitted(w) != 0 && !w.pending.empty());
 
         // Online scrub: strictly off the request path (only on
@@ -449,9 +451,9 @@ Server::Impl::workerMain(Worker &w)
             const auto now = Clock::now();
             if (now - w.lastScrub >=
                 std::chrono::milliseconds(cfg.scrubIntervalMs)) {
-                w.kv->scrubStep(w.env, 0, cfg.scrubRegions);
+                w.shard->scrubStep(w.env, cfg.scrubRegions);
                 w.lastScrub = now;
-                if (!w.quarantineLogged && w.kv->quarantined(0)) {
+                if (!w.quarantineLogged && w.shard->quarantined()) {
                     w.quarantineLogged = true;
                     warn("lp::server shard " +
                          std::to_string(w.index) +
@@ -477,7 +479,7 @@ Server::Impl::workerMain(Worker &w)
             // or quarantine) rather than a crash tear. A
             // quarantined shard keeps its pre-fault superblock
             // untouched so the restart re-detects the quarantine.
-            if (!w.kv->quarantined(0))
+            if (!w.shard->quarantined())
                 w.kv->checkpoint(w.env);
             w.kv->markClean(w.env);
             w.arena->persistAll();
@@ -486,7 +488,7 @@ Server::Impl::workerMain(Worker &w)
             // span the epoch-cadence seal had not covered yet.
             if (w.flight) {
                 obs::traceInstant(w.ring, "drain",
-                                  w.kv->committedEpoch(0));
+                                  w.shard->committedEpoch());
                 w.flight->seal();
             }
             LP_ASSERT(w.pending.empty(),

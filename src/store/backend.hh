@@ -3,15 +3,16 @@
  * The persistency-backend contract of the `lp::store` key-value
  * store (docs/engine_design.md is the narrative version).
  *
- * A backend is the policy that makes mutations durable. It owns the
- * per-shard persistent structures its discipline needs (journal
- * with its batch digests, WAL, metadata blocks) and mutates the shared
- * SlotTable through the StoreContext; epoch numbering and
- * batch/fold accounting are delegated to the per-shard
+ * A backend is the policy that makes mutations durable. One instance
+ * serves exactly one shard (store::Shard owns it): it owns the
+ * persistent structures its discipline needs for that shard (journal
+ * with its batch digests, WAL, superblock pair) and mutates the
+ * shared SlotTable through the StoreContext; epoch numbering and
+ * batch/fold accounting are delegated to the shard's
  * engine::CommitPipeline so the same scheduling drives the store and
  * lp::server.
  *
- * Hook contract (all per shard; see each backend for its story):
+ * Hook contract (see each backend for its story):
  *
  *  - stage(op): admit one mutation into the open epoch, committing
  *    (and folding) when the pipeline says the period elapsed; returns
@@ -23,7 +24,8 @@
  *    durable (eager, WAL).
  *  - recover(): rebuild from the durable image after a crash; must
  *    leave the shard ready for new mutations and the pipeline
- *    rebased to the committed watermark. Attempts media-fault repair
+ *    rebased to the committed watermark, which it returns. Attempts
+ *    media-fault repair
  *    (parity reconstruction, superblock replicas) before falling
  *    back to epoch discard, and quarantines on provable-but-
  *    unrepairable corruption (docs/repair_design.md).
@@ -38,19 +40,19 @@
  *    are staged but not yet applied to the table.
  *
  * Media-fault tolerance plumbing shared by ALL backends lives here:
- * every shard's superblock (ShardMeta) is kept in TWO copies sealed
+ * the shard's superblock (ShardMeta) is kept in TWO copies sealed
  * by a check word, so recovery can prove corruption (a crash leaves
  * each block-atomic copy self-consistent) and repair from the twin.
- * Per-shard MediaCounters record repairs/unrepairable faults for
+ * The shard's MediaCounters record repairs/unrepairable faults for
  * METRICS; unrepairable > 0 means the shard is QUARANTINED
  * (callers must stop mutating it; lp::server serves it read-only).
  *
  * Allocation-order determinism: a backend's constructor must
- * allocate its arena structures in a fixed order (globals first,
- * then per shard), because attach mode re-derives offsets purely by
- * re-running the same allocation sequence over the existing image.
- * allocMeta() allocates the superblock replica immediately after the
- * primary, preserving that order for all three backends.
+ * allocate its arena structures in a fixed order, because attach
+ * mode re-derives offsets purely by re-running the same allocation
+ * sequence over the existing image. The base constructor allocates
+ * the superblock pair (replica immediately after the primary) before
+ * any derived member, so every backend's shard starts with it.
  */
 
 #ifndef LP_STORE_BACKEND_HH
@@ -58,10 +60,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "engine/commit_pipeline.hh"
 #include "pmem/arena.hh"
@@ -79,14 +79,14 @@ struct DeltaVal
     std::uint64_t value;
 };
 
-/** What a backend borrows from the KvStore that owns it. */
+/** What a backend borrows from the Shard that owns it. */
 template <typename Env>
 struct StoreContext
 {
     pmem::PersistentArena *arena;
     const StoreConfig *cfg;
     SlotTable<Env> *table;
-    std::vector<engine::CommitPipeline> *pipelines;
+    engine::CommitPipeline *pipeline;
 };
 
 /** CommitPolicy a store pipeline runs under @p backend and @p cfg. */
@@ -94,7 +94,7 @@ engine::CommitPolicy commitPolicyFor(Backend backend,
                                      const StoreConfig &cfg);
 
 /**
- * Cumulative media-fault counters of one shard. The shard's single
+ * Cumulative media-fault counters of a shard. The shard's single
  * writer updates them (recovery, scrub); any thread may read (the
  * server's acceptor exports them in METRICS), hence atomics.
  */
@@ -107,7 +107,7 @@ struct MediaCounters
 };
 
 /**
- * Host-pointer map of one shard's media-protected structures, for
+ * Host-pointer map of a shard's media-protected structures, for
  * fault injection (pmem/fault.hh, `lazyper_cli inject`) and the
  * corruption-matrix tests. Null / zero fields simply do not exist
  * for the backend (only LP has a journal and parity).
@@ -127,18 +127,26 @@ struct FaultSurface
 };
 
 /**
- * One persistency policy; see the file comment for the hook
- * contract. A backend instance serves every shard of its store (the
- * per-shard state lives in its own vectors), and is driven only by
- * the owning KvStore.
+ * One persistency policy serving one shard; see the file comment for
+ * the hook contract. Driven only by the owning store::Shard.
  */
 template <typename Env>
 class PersistencyBackend
 {
   public:
-    explicit PersistencyBackend(const StoreContext<Env> &ctx)
-        : ctx_(ctx)
+    /** Allocates the shard's superblock pair (formatted unless
+     *  @p attach), the first structure of every backend's shard. */
+    PersistencyBackend(const StoreContext<Env> &ctx, bool attach)
+        : ctx_(ctx), meta_(ctx.arena->template alloc<ShardMeta>(1)),
+          replica_(ctx.arena->template alloc<ShardMeta>(1))
     {
+        if (attach)
+            return;
+        for (ShardMeta *c : {meta_, replica_}) {
+            c->foldedEpoch = 0;
+            c->flags = 0;
+            c->check = repair::shardMetaCheck(0, 0);
+        }
     }
 
     virtual ~PersistencyBackend() = default;
@@ -147,27 +155,27 @@ class PersistencyBackend
     PersistencyBackend &operator=(const PersistencyBackend &) = delete;
 
     /** Admit one mutation; returns the epoch it landed in. */
-    virtual std::uint64_t stage(Env &env, int shard, JOp op,
-                                std::uint64_t key,
+    virtual std::uint64_t stage(Env &env, JOp op, std::uint64_t key,
                                 std::uint64_t value) = 0;
 
-    /** Commit the shard's open epoch, if any (may be underfilled). */
-    virtual void commitEpoch(Env &env, int shard) = 0;
+    /** Commit the open epoch, if any (may be underfilled). */
+    virtual void commitEpoch(Env &env) = 0;
 
     /** Eager checkpoint; default no-op for durable-on-commit backends. */
     virtual void
-    fold(Env &env, int shard)
+    fold(Env &env)
     {
         (void)env;
-        (void)shard;
     }
 
-    /** Crash recovery of one shard (see the hook contract). */
-    virtual void recover(Env &env, int shard,
-                         RecoveryReport &rep) = 0;
+    /**
+     * Crash recovery (see the hook contract); returns the shard's
+     * committed watermark.
+     */
+    virtual std::uint64_t recover(Env &env, RecoveryReport &rep) = 0;
 
     /** Non-mutating audit of the backend's durability invariants. */
-    virtual bool verify(Env &env, int shard) = 0;
+    virtual bool verify(Env &env) = 0;
 
     /**
      * Online scrub step: validate (and repair) up to @p maxRegions
@@ -179,14 +187,13 @@ class PersistencyBackend
      * pass; the LP backend extends it over journal parity.
      */
     virtual std::size_t
-    scrub(Env &env, int shard, std::size_t maxRegions)
+    scrub(Env &env, std::size_t maxRegions)
     {
         (void)maxRegions;
-        if (quarantined(shard))
+        if (quarantined())
             return 0;
-        auditMeta(env, shard, nullptr);
-        media_[std::size_t(shard)].scrubPasses.fetch_add(
-            1, std::memory_order_relaxed);
+        auditMeta(env, nullptr);
+        media_.scrubPasses.fetch_add(1, std::memory_order_relaxed);
         return 0;
     }
 
@@ -196,46 +203,32 @@ class PersistencyBackend
      * the backend applies in place.
      */
     virtual std::optional<DeltaVal>
-    staged(Env &env, int shard, std::uint64_t key)
+    staged(Env &env, std::uint64_t key)
     {
         (void)env;
-        (void)shard;
         (void)key;
         return std::nullopt;
     }
 
     /** Overlay staged mutations onto a host-side snapshot. */
     virtual void
-    mergeStaged(int shard,
-                std::map<std::uint64_t, std::uint64_t> &out) const
+    mergeStaged(std::map<std::uint64_t, std::uint64_t> &out) const
     {
-        (void)shard;
         (void)out;
     }
 
-    /** Where this shard's media-protected structures live. */
+    /** Where the shard's media-protected structures live. */
     virtual FaultSurface
-    faultSurface(int shard) const
+    faultSurface() const
     {
         FaultSurface fs;
-        fs.metaPrimary = metas_[std::size_t(shard)];
-        fs.metaReplica = replicas_[std::size_t(shard)];
+        fs.metaPrimary = meta_;
+        fs.metaReplica = replica_;
         return fs;
     }
 
-    /** Durable (shadow) epoch watermark of one shard. */
-    std::uint64_t
-    durableEpoch(int shard) const
-    {
-        return ctx_.arena->peekDurable(&metas_[shard]->foldedEpoch);
-    }
-
-    /** This shard's cumulative media-fault counters (any thread). */
-    const MediaCounters &
-    mediaCounters(int shard) const
-    {
-        return media_[std::size_t(shard)];
-    }
+    /** The shard's cumulative media-fault counters (any thread). */
+    const MediaCounters &mediaCounters() const { return media_; }
 
     /**
      * True when the shard hit provable-but-unrepairable corruption:
@@ -243,10 +236,9 @@ class PersistencyBackend
      * stay safe -- nothing invalid was ever applied to the table).
      */
     bool
-    quarantined(int shard) const
+    quarantined() const
     {
-        return media_[std::size_t(shard)].unrepairable.load(
-                   std::memory_order_relaxed) > 0;
+        return media_.unrepairable.load(std::memory_order_relaxed) > 0;
     }
 
     /**
@@ -256,51 +248,24 @@ class PersistencyBackend
      * where validation failures are media faults, not crash tears.
      */
     void
-    markClean(Env &env, int shard)
+    markClean(Env &env)
     {
-        const std::uint64_t epoch =
-            env.ld(&metas_[std::size_t(shard)]->foldedEpoch);
-        persistMeta(env, shard, epoch, shardCleanShutdown);
+        persistMeta(env, env.ld(&meta_->foldedEpoch),
+                    shardCleanShutdown);
         env.sfence();
     }
 
   protected:
     /**
-     * Allocate one shard's superblock pair in arena order (replica
-     * immediately after the primary -- part of the deterministic
-     * allocation sequence attach mode replays).
-     */
-    ShardMeta *
-    allocMeta(bool attach)
-    {
-        pmem::PersistentArena &arena = *ctx_.arena;
-        ShardMeta *m = arena.alloc<ShardMeta>(1);
-        ShardMeta *r = arena.alloc<ShardMeta>(1);
-        if (!attach) {
-            for (ShardMeta *c : {m, r}) {
-                c->foldedEpoch = 0;
-                c->flags = 0;
-                c->check = repair::shardMetaCheck(0, 0);
-            }
-        }
-        metas_.push_back(m);
-        replicas_.push_back(r);
-        media_.emplace_back();
-        return m;
-    }
-
-    /**
      * Store (@p epoch, @p flags) + check word into both superblock
      * copies and flush them; the caller's fence orders the pair.
      */
     void
-    persistMeta(Env &env, int shard, std::uint64_t epoch,
-                std::uint64_t flags)
+    persistMeta(Env &env, std::uint64_t epoch, std::uint64_t flags)
     {
         const std::uint64_t check =
             repair::shardMetaCheck(epoch, flags);
-        for (ShardMeta *c : {metas_[std::size_t(shard)],
-                             replicas_[std::size_t(shard)]}) {
+        for (ShardMeta *c : {meta_, replica_}) {
             env.st(&c->foldedEpoch, epoch);
             env.st(&c->flags, flags);
             env.st(&c->check, check);
@@ -329,18 +294,16 @@ class PersistencyBackend
      * the surviving valid copy is flagged clean.
      */
     MetaState
-    auditMeta(Env &env, int shard, RecoveryReport *rep)
+    auditMeta(Env &env, RecoveryReport *rep)
     {
-        ShardMeta *p = metas_[std::size_t(shard)];
-        ShardMeta *r = replicas_[std::size_t(shard)];
-        const std::uint64_t pe = env.ld(&p->foldedEpoch);
-        const std::uint64_t pf = env.ld(&p->flags);
+        const std::uint64_t pe = env.ld(&meta_->foldedEpoch);
+        const std::uint64_t pf = env.ld(&meta_->flags);
         const bool pOk =
-            env.ld(&p->check) == repair::shardMetaCheck(pe, pf);
-        const std::uint64_t re = env.ld(&r->foldedEpoch);
-        const std::uint64_t rf = env.ld(&r->flags);
+            env.ld(&meta_->check) == repair::shardMetaCheck(pe, pf);
+        const std::uint64_t re = env.ld(&replica_->foldedEpoch);
+        const std::uint64_t rf = env.ld(&replica_->flags);
         const bool rOk =
-            env.ld(&r->check) == repair::shardMetaCheck(re, rf);
+            env.ld(&replica_->check) == repair::shardMetaCheck(re, rf);
         env.tick(8);
         MetaState st;
         if (pOk && rOk) {
@@ -355,7 +318,7 @@ class PersistencyBackend
                 // too -- replay is idempotent). Resync silently.
                 st.epoch = pe > re ? pe : re;
                 st.clean = false;
-                persistMeta(env, shard, st.epoch, 0);
+                persistMeta(env, st.epoch, 0);
                 env.sfence();
             }
             return st;
@@ -365,53 +328,45 @@ class PersistencyBackend
             // crash): restore it from the valid twin.
             const std::uint64_t e = pOk ? pe : re;
             const std::uint64_t f = pOk ? pf : rf;
-            persistMeta(env, shard, e, f);
+            persistMeta(env, e, f);
             env.sfence();
-            noteRepaired(shard, rep, 1);
+            noteRepaired(rep, 1);
             st.ok = true;
             st.epoch = e;
             st.clean = (f & shardCleanShutdown) != 0;
             return st;
         }
         // Both copies rotted: nothing to trust.
-        noteUnrepairable(shard, rep, 1);
+        noteUnrepairable(rep, 1);
         return st;
     }
 
     /** Count @p n repaired media faults (counters + report). */
     void
-    noteRepaired(int shard, RecoveryReport *rep, std::uint64_t n)
+    noteRepaired(RecoveryReport *rep, std::uint64_t n)
     {
-        media_[std::size_t(shard)].repaired.fetch_add(
-            n, std::memory_order_relaxed);
+        media_.repaired.fetch_add(n, std::memory_order_relaxed);
         if (rep)
             rep->mediaRepaired += n;
     }
 
     /** Count @p n unrepairable faults (quarantines the shard). */
     void
-    noteUnrepairable(int shard, RecoveryReport *rep, std::uint64_t n)
+    noteUnrepairable(RecoveryReport *rep, std::uint64_t n)
     {
-        media_[std::size_t(shard)].unrepairable.fetch_add(
-            n, std::memory_order_relaxed);
+        media_.unrepairable.fetch_add(n, std::memory_order_relaxed);
         if (rep)
             rep->mediaUnrepairable += n;
     }
 
     const StoreConfig &cfg() const { return *ctx_.cfg; }
     SlotTable<Env> &table() { return *ctx_.table; }
-
-    engine::CommitPipeline &
-    pipeline(int shard)
-    {
-        return (*ctx_.pipelines)[std::size_t(shard)];
-    }
+    engine::CommitPipeline &pipeline() { return *ctx_.pipeline; }
 
     StoreContext<Env> ctx_;
-    std::vector<ShardMeta *> metas_;
-    std::vector<ShardMeta *> replicas_;
-    /// Deque: atomics must never relocate (acceptor threads read).
-    std::deque<MediaCounters> media_;
+    ShardMeta *const meta_;
+    ShardMeta *const replica_;
+    MediaCounters media_;
 };
 
 } // namespace lp::store

@@ -21,19 +21,18 @@ template <typename Env>
 class EagerBackend : public PersistencyBackend<Env>
 {
     using Base = PersistencyBackend<Env>;
-    using Base::cfg;
     using Base::pipeline;
     using Base::table;
 
   public:
-    EagerBackend(const StoreContext<Env> &ctx, bool attach) : Base(ctx)
+    /** The base's superblock pair is the only allocation. */
+    EagerBackend(const StoreContext<Env> &ctx, bool attach)
+        : Base(ctx, attach)
     {
-        for (int i = 0; i < cfg().shards; ++i)
-            this->allocMeta(attach);
     }
 
     std::uint64_t
-    stage(Env &env, int shard, JOp op, std::uint64_t key,
+    stage(Env &env, JOp op, std::uint64_t key,
           std::uint64_t value) override
     {
         KvSlot *slot =
@@ -43,7 +42,7 @@ class EagerBackend : public PersistencyBackend<Env>
             env.sfence();
         }
         env.onRegionCommit();
-        auto &pl = pipeline(shard);
+        auto &pl = pipeline();
         pl.beginEpoch();
         pl.stageOp();
         pl.commitEpoch();
@@ -52,35 +51,33 @@ class EagerBackend : public PersistencyBackend<Env>
     }
 
     void
-    commitEpoch(Env &env, int shard) override
+    commitEpoch(Env &env) override
     {
         // Nothing is ever open: each op commits inside stage().
         (void)env;
-        (void)shard;
     }
 
-    void
-    recover(Env &env, int shard, RecoveryReport &rep) override
+    std::uint64_t
+    recover(Env &env, RecoveryReport &rep) override
     {
         // Every op was persisted in place; the table is already
         // consistent. The superblock pair still carries the clean-
         // shutdown flag and can rot, so it is audited (and repaired
         // from its twin) like every backend's.
-        const auto ms = this->auditMeta(env, shard, &rep);
+        const auto ms = this->auditMeta(env, &rep);
         if (ms.ok) {
-            this->persistMeta(env, shard, 0, 0);
+            this->persistMeta(env, 0, 0);
             env.sfence();
         }
         // The op-sequence numbering restarts at zero.
-        pipeline(shard).rebase(0);
-        rep.committedEpochs[std::size_t(shard)] = 0;
+        pipeline().rebase(0);
+        return 0;
     }
 
     bool
-    verify(Env &env, int shard) override
+    verify(Env &env) override
     {
         (void)env;
-        (void)shard;
         return true;
     }
 };

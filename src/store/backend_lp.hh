@@ -28,8 +28,8 @@
  *
  * Media-fault tolerance (docs/repair_design.md). The journal is the
  * only structure whose loss silently loses committed data, so it
- * gets the heaviest protection: a repair::RegionParity instance per
- * shard fingerprints and XOR-folds every sealed 64B journal region
+ * gets the heaviest protection: the shard's repair::RegionParity
+ * fingerprints and XOR-folds every sealed 64B journal region
  * at commit time (plain stores -- they drain with the lines they
  * protect). Batch digests live in the journal headers, so the same
  * parity covers them and they need no replica. The shard superblock
@@ -41,7 +41,7 @@
  * keeps the historical discard semantics and only counts repairs the
  * fingerprints prove.
  *
- * Recovery. Per shard, arbitrate the superblock pair for the durable
+ * Recovery. Arbitrate the superblock pair for the durable
  * foldedEpoch W and walk the journal from offset 0 expecting epochs
  * W+1, W+2, ... (the BatchJournal::replay walk): check the header
  * tag, recompute the digest over the records that actually reached
@@ -63,7 +63,6 @@
 #ifndef LP_STORE_BACKEND_LP_HH
 #define LP_STORE_BACKEND_LP_HH
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -84,43 +83,35 @@ class LpBackend : public PersistencyBackend<Env>
     using Base::table;
 
   public:
-    LpBackend(const StoreContext<Env> &ctx, bool attach) : Base(ctx)
+    /** Allocation order after the base's superblock pair: journal,
+     *  then its parity. */
+    LpBackend(const StoreContext<Env> &ctx, bool attach)
+        : Base(ctx, attach),
+          journal_(*ctx.arena, journalCapacity(*ctx.cfg)),
+          parity_(*ctx.arena, journal_.data(), journal_.dataBytes(),
+                  attach),
+          acc_(ctx.cfg->checksum)
     {
-        const std::size_t jcap = journalCapacity(cfg());
-        shards_.reserve(std::size_t(cfg().shards));
-        for (int i = 0; i < cfg().shards; ++i) {
-            Shard sh;
-            sh.meta = this->allocMeta(attach);
-            sh.acc = core::ChecksumAcc(cfg().checksum);
-            sh.journal =
-                std::make_unique<BatchJournal<Env>>(*ctx.arena, jcap);
-            sh.parity = std::make_unique<repair::RegionParity<Env>>(
-                *ctx.arena, sh.journal->data(),
-                sh.journal->dataBytes(), attach);
-            shards_.push_back(std::move(sh));
-        }
     }
 
     std::uint64_t
-    stage(Env &env, int shard, JOp op, std::uint64_t key,
+    stage(Env &env, JOp op, std::uint64_t key,
           std::uint64_t value) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
+        auto &pl = pipeline();
         if (!pl.epochOpen()) {
             // Fold first if the journal lacks room for a full batch.
-            if (!sh.journal->roomFor(cfg().batchOps))
-                fold(env, shard);
-            sh.journal->open(env, pl.beginEpoch(), sh.acc);
+            if (!journal_.roomFor(cfg().batchOps))
+                fold(env);
+            journal_.open(env, pl.beginEpoch(), acc_);
         }
         const std::uint64_t epoch = pl.openEpoch();
-        sh.journal->append(env, op, key, value, epoch, sh.acc,
-                           ckCost());
-        sh.delta[key] = DeltaVal{op == JOp::Put, value};
+        journal_.append(env, op, key, value, epoch, acc_, ckCost());
+        delta_[key] = DeltaVal{op == JOp::Put, value};
         if (pl.stageOp()) {
-            commitEpoch(env, shard);
+            commitEpoch(env);
             if (pl.foldDue())
-                fold(env, shard);
+                fold(env);
         }
         return epoch;
     }
@@ -132,10 +123,9 @@ class LpBackend : public PersistencyBackend<Env>
      * commit). No flush, no fence.
      */
     void
-    commitEpoch(Env &env, int shard) override
+    commitEpoch(Env &env) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
+        auto &pl = pipeline();
         if (!pl.epochOpen())
             return;
         const std::uint64_t epoch = pl.openEpoch();
@@ -147,15 +137,15 @@ class LpBackend : public PersistencyBackend<Env>
         obs::Span span(obs::ringOf(ob), "epoch_commit", epoch,
                        pl.openTraceId());
         obs::ScopedTimer timer(ob ? &ob->commitNs : nullptr);
-        sh.journal->seal(env, std::uint64_t(pl.stagedOps()), epoch,
-                         sh.acc, ckCost());
-        sh.parity->cover(env, epoch, sh.journal->sealedBytes());
+        journal_.seal(env, std::uint64_t(pl.stagedOps()), epoch, acc_,
+                      ckCost());
+        parity_.cover(env, epoch, journal_.sealedBytes());
         pl.commitEpoch();
         env.onRegionCommit();
     }
 
     /**
-     * Eager checkpoint of one shard (Section VI-A periodic flush):
+     * Eager checkpoint of the shard (Section VI-A periodic flush):
      * (a) pin the journal (digests included, they live in the batch
      *     headers) in NVMM, so every batch the fold applies is one
      *     recovery would accept;
@@ -173,20 +163,19 @@ class LpBackend : public PersistencyBackend<Env>
      * durably committed, so replay just re-applies them.
      */
     void
-    fold(Env &env, int shard) override
+    fold(Env &env) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
+        auto &pl = pipeline();
         LP_ASSERT(!pl.epochOpen(), "fold with an open batch");
-        if (sh.journal->tail() == 0)
+        if (journal_.tail() == 0)
             return;
         obs::ShardObs *ob = pl.obs();
         obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted());
         obs::ScopedTimer timer(ob ? &ob->foldNs : nullptr);
-        sh.journal->flushAll(env);
+        journal_.flushAll(env);
         env.sfence();
         std::vector<std::uintptr_t> blocks;
-        for (const auto &[key, dv] : sh.delta) {
+        for (const auto &[key, dv] : delta_) {
             KvSlot *slot =
                 table().applyOp(env, dv.isPut, key, dv.value);
             if (slot)
@@ -194,49 +183,46 @@ class LpBackend : public PersistencyBackend<Env>
         }
         ep::flushBlocksOnce(env, blocks);
         env.sfence();
-        sh.parity->resetGeneration(env, pl.lastCommitted());
-        this->persistMeta(env, shard, pl.lastCommitted(), 0);
+        parity_.resetGeneration(env, pl.lastCommitted());
+        this->persistMeta(env, pl.lastCommitted(), 0);
         env.sfence();
         pl.noteFold();
-        sh.journal->reset();
-        sh.delta.clear();
-        sh.scrubCursor = 0;
-        sh.scrubGroupClean = true;
+        journal_.reset();
+        delta_.clear();
+        scrubCursor_ = 0;
+        scrubGroupClean_ = true;
     }
 
-    void
-    recover(Env &env, int shard, RecoveryReport &rep) override
+    std::uint64_t
+    recover(Env &env, RecoveryReport &rep) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        const auto ms = this->auditMeta(env, shard, &rep);
+        const auto ms = this->auditMeta(env, &rep);
         if (!ms.ok) {
             // Both superblock copies rotted: the fold watermark is
             // gone, so nothing in the journal can be validated
             // against a known base. The folded table image itself is
             // intact; leave it, quarantine the shard (auditMeta
             // already counted the unrepairable fault).
-            resetShard(env, sh, shard, 0, rep);
-            return;
+            return resetShard(env, 0);
         }
         const bool strict = ms.clean;
         const std::uint64_t base = ms.epoch;
-        const bool hdrOk = sh.parity->loadDurable(env);
+        const bool hdrOk = parity_.loadDurable(env);
         if (strict && !hdrOk) {
             // No crash happened, so the parity header was rotted: a
             // media fault. It self-heals (resetShard starts a fresh
             // generation below) but costs us the sealed-epoch
             // watermark, so the lost-batch check cannot run.
-            this->noteRepaired(shard, &rep, 1);
+            this->noteRepaired(&rep, 1);
         }
         // Media-repair hook for the replay walk: sweep the covered
         // journal prefix once, restoring every region whose parity
         // reconstruction reproduces its fingerprint.
         auto repairFn = [&]() {
-            const repair::SweepResult res =
-                sh.parity->repairCovered(env);
+            const repair::SweepResult res = parity_.repairCovered(env);
             if (res.repaired) {
                 env.sfence();
-                this->noteRepaired(shard, &rep, res.repaired);
+                this->noteRepaired(&rep, res.repaired);
             }
             return res.repaired > 0;
         };
@@ -244,7 +230,7 @@ class LpBackend : public PersistencyBackend<Env>
         // (Section III-E); like the fold, all of a batch's stores
         // execute first, then one flush per distinct block.
         std::vector<std::uintptr_t> blocks;
-        const std::uint64_t committed = sh.journal->replay(
+        const std::uint64_t committed = journal_.replay(
             env, cfg(), base,
             [&](JEntry &je) {
                 KvSlot *slot =
@@ -259,26 +245,24 @@ class LpBackend : public PersistencyBackend<Env>
                 env.sfence();
             },
             repairFn, rep);
-        if (strict && hdrOk &&
-            committed < sh.parity->lastSealedEpoch()) {
+        if (strict && hdrOk && committed < parity_.lastSealedEpoch()) {
             // Clean shutdown proved every sealed epoch was durable,
             // yet replay could not validate up to the sealed
             // watermark: committed batches are LOST to media faults
             // parity could not undo. Quarantine.
-            this->noteUnrepairable(shard, &rep, 1);
+            this->noteUnrepairable(&rep, 1);
         }
-        resetShard(env, sh, shard, committed, rep);
+        return resetShard(env, committed);
     }
 
     bool
-    verify(Env &env, int shard) override
+    verify(Env &env) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
+        auto &pl = pipeline();
         if (pl.epochOpen())
             return false;  // commit or checkpoint before auditing
-        return sh.journal->auditCommitted(env, cfg(), pl.foldedEpoch(),
-                                          pl.lastCommitted());
+        return journal_.auditCommitted(env, cfg(), pl.foldedEpoch(),
+                                       pl.lastCommitted());
     }
 
     /**
@@ -293,36 +277,35 @@ class LpBackend : public PersistencyBackend<Env>
      * superblock pair and completes a pass.
      */
     std::size_t
-    scrub(Env &env, int shard, std::size_t maxRegions) override
+    scrub(Env &env, std::size_t maxRegions) override
     {
-        if (this->quarantined(shard))
+        if (this->quarantined())
             return 0;
-        Shard &sh = shards_[std::size_t(shard)];
-        const std::size_t covered = sh.parity->coveredRegions();
-        if (sh.scrubCursor >= covered) {
+        const std::size_t covered = parity_.coveredRegions();
+        if (scrubCursor_ >= covered) {
             // Pass complete (or a fold restarted the generation):
             // close out with the superblock audit and wrap.
-            this->auditMeta(env, shard, nullptr);
-            this->media_[std::size_t(shard)].scrubPasses.fetch_add(
+            this->auditMeta(env, nullptr);
+            this->media_.scrubPasses.fetch_add(
                 1, std::memory_order_relaxed);
-            sh.scrubCursor = 0;
-            sh.scrubGroupClean = true;
+            scrubCursor_ = 0;
+            scrubGroupClean_ = true;
             return 0;
         }
         std::size_t done = 0;
         bool wrote = false;
-        while (done < maxRegions && sh.scrubCursor < covered) {
-            const std::size_t r = sh.scrubCursor++;
-            switch (sh.parity->repairRegion(env, r)) {
+        while (done < maxRegions && scrubCursor_ < covered) {
+            const std::size_t r = scrubCursor_++;
+            switch (parity_.repairRegion(env, r)) {
               case repair::RegionState::Clean:
                 break;
               case repair::RegionState::Repaired:
-                this->noteRepaired(shard, nullptr, 1);
+                this->noteRepaired(nullptr, 1);
                 wrote = true;
                 break;
               case repair::RegionState::Unrepairable:
-                this->noteUnrepairable(shard, nullptr, 1);
-                sh.scrubGroupClean = false;
+                this->noteUnrepairable(nullptr, 1);
+                scrubGroupClean_ = false;
                 break;
             }
             ++done;
@@ -330,57 +313,54 @@ class LpBackend : public PersistencyBackend<Env>
                 (r + 1) % repair::groupRegions == 0 ||
                 r + 1 == covered;
             if (groupEnd) {
-                if (sh.scrubGroupClean &&
-                    sh.parity->scrubGroupParity(
-                        env, r / repair::groupRegions)) {
-                    this->noteRepaired(shard, nullptr, 1);
+                if (scrubGroupClean_ &&
+                    parity_.scrubGroupParity(env,
+                                             r / repair::groupRegions)) {
+                    this->noteRepaired(nullptr, 1);
                     wrote = true;
                 }
-                sh.scrubGroupClean = true;
+                scrubGroupClean_ = true;
             }
-            if (this->quarantined(shard))
+            if (this->quarantined())
                 break;
         }
         if (wrote)
             env.sfence();
-        this->media_[std::size_t(shard)].scrubRegions.fetch_add(
-            done, std::memory_order_relaxed);
+        this->media_.scrubRegions.fetch_add(done,
+                                            std::memory_order_relaxed);
         return done;
     }
 
     FaultSurface
-    faultSurface(int shard) const override
+    faultSurface() const override
     {
-        FaultSurface fs = Base::faultSurface(shard);
-        const Shard &sh = shards_[std::size_t(shard)];
-        fs.journal = sh.journal->data();
-        fs.journalBytes = sh.journal->dataBytes();
-        fs.sealedBytes = sh.journal->sealedBytes();
-        fs.parity = sh.parity->parityBlocks();
-        fs.parityBytes = sh.parity->parityBytes();
-        fs.parityHashes = sh.parity->hashes();
-        fs.parityHashBytes = sh.parity->hashBytes();
-        fs.parityHeader = sh.parity->header();
+        FaultSurface fs = Base::faultSurface();
+        fs.journal = journal_.data();
+        fs.journalBytes = journal_.dataBytes();
+        fs.sealedBytes = journal_.sealedBytes();
+        fs.parity = parity_.parityBlocks();
+        fs.parityBytes = parity_.parityBytes();
+        fs.parityHashes = parity_.hashes();
+        fs.parityHashBytes = parity_.hashBytes();
+        fs.parityHeader = parity_.header();
         return fs;
     }
 
     std::optional<DeltaVal>
-    staged(Env &env, int shard, std::uint64_t key) override
+    staged(Env &env, std::uint64_t key) override
     {
-        const Shard &sh = shards_[std::size_t(shard)];
-        const auto it = sh.delta.find(key);
-        if (it == sh.delta.end())
+        const auto it = delta_.find(key);
+        if (it == delta_.end())
             return std::nullopt;
         env.tick(4);
         return it->second;
     }
 
     void
-    mergeStaged(int shard,
-                std::map<std::uint64_t, std::uint64_t> &out)
+    mergeStaged(std::map<std::uint64_t, std::uint64_t> &out)
         const override
     {
-        for (const auto &[k, dv] : shards_[std::size_t(shard)].delta) {
+        for (const auto &[k, dv] : delta_) {
             if (dv.isPut)
                 out[k] = dv.value;
             else
@@ -389,43 +369,26 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
   private:
-    struct Shard
-    {
-        ShardMeta *meta = nullptr;
-        std::unique_ptr<BatchJournal<Env>> journal;
-        std::unique_ptr<repair::RegionParity<Env>> parity;
-        core::ChecksumAcc acc;
-
-        /** Coalesced last op per key since the last fold. */
-        std::unordered_map<std::uint64_t, DeltaVal> delta;
-
-        /// @name Online-scrub walk state (owner thread only).
-        /// @{
-        std::size_t scrubCursor = 0;
-        bool scrubGroupClean = true;
-        /// @}
-    };
-
     /**
      * Recovery epilogue: restate the superblock pair at @p committed
      * with the clean flag CLEARED (we are running again), restart
      * the journal/parity generation, and rebase the pipeline.
+     * Returns @p committed.
      */
-    void
-    resetShard(Env &env, Shard &sh, int shard,
-               std::uint64_t committed, RecoveryReport &rep)
+    std::uint64_t
+    resetShard(Env &env, std::uint64_t committed)
     {
-        if (!this->quarantined(shard))
-            this->persistMeta(env, shard, committed, 0);
-        sh.parity->resetGeneration(env, committed);
+        if (!this->quarantined())
+            this->persistMeta(env, committed, 0);
+        parity_.resetGeneration(env, committed);
         env.sfence();
-        sh.journal->reset();
-        sh.acc.reset();
-        sh.delta.clear();
-        sh.scrubCursor = 0;
-        sh.scrubGroupClean = true;
-        pipeline(shard).rebase(committed);
-        rep.committedEpochs[std::size_t(shard)] = committed;
+        journal_.reset();
+        acc_.reset();
+        delta_.clear();
+        scrubCursor_ = 0;
+        scrubGroupClean_ = true;
+        pipeline().rebase(committed);
+        return committed;
     }
 
     std::uint64_t
@@ -434,7 +397,18 @@ class LpBackend : public PersistencyBackend<Env>
         return core::ChecksumAcc::updateCost(cfg().checksum);
     }
 
-    std::vector<Shard> shards_;
+    BatchJournal<Env> journal_;
+    repair::RegionParity<Env> parity_;
+    core::ChecksumAcc acc_;
+
+    /** Coalesced last op per key since the last fold. */
+    std::unordered_map<std::uint64_t, DeltaVal> delta_;
+
+    /// @name Online-scrub walk state (owner thread only).
+    /// @{
+    std::size_t scrubCursor_ = 0;
+    bool scrubGroupClean_ = true;
+    /// @}
 };
 
 } // namespace lp::store

@@ -15,7 +15,6 @@
 #ifndef LP_STORE_BACKEND_WAL_HH
 #define LP_STORE_BACKEND_WAL_HH
 
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -31,50 +30,43 @@ template <typename Env>
 class WalBackend : public PersistencyBackend<Env>
 {
     using Base = PersistencyBackend<Env>;
-    using Base::cfg;
     using Base::pipeline;
     using Base::table;
 
   public:
-    WalBackend(const StoreContext<Env> &ctx, bool attach) : Base(ctx)
+    /** Allocation order after the base's superblock pair: the undo
+     *  log area, sized for up to two table words per op plus the six
+     *  superblock words (epoch/flags/check on both copies) and
+     *  slack. */
+    WalBackend(const StoreContext<Env> &ctx, bool attach)
+        : Base(ctx, attach),
+          wal_(*ctx.arena, 2 * std::size_t(ctx.cfg->batchOps) + 8,
+               attach)
     {
-        shards_.reserve(std::size_t(cfg().shards));
-        for (int i = 0; i < cfg().shards; ++i) {
-            Shard sh;
-            sh.meta = this->allocMeta(attach);
-            // Up to two table words per op, plus the six superblock
-            // words (epoch/flags/check on both copies) and slack.
-            sh.wal = std::make_unique<ep::WalArea>(
-                *ctx.arena, 2 * std::size_t(cfg().batchOps) + 8,
-                attach);
-            shards_.push_back(std::move(sh));
-        }
     }
 
     std::uint64_t
-    stage(Env &env, int shard, JOp op, std::uint64_t key,
+    stage(Env &env, JOp op, std::uint64_t key,
           std::uint64_t value) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
+        auto &pl = pipeline();
         if (!pl.epochOpen())
             pl.beginEpoch();
         const std::uint64_t epoch = pl.openEpoch();
-        sh.pending.push_back(PendingOp{op, key, value});
-        sh.delta[key] = DeltaVal{op == JOp::Put, value};
+        pending_.push_back(PendingOp{op, key, value});
+        delta_[key] = DeltaVal{op == JOp::Put, value};
         env.tick(4);
         if (pl.stageOp())
-            commitEpoch(env, shard);
+            commitEpoch(env);
         return epoch;
     }
 
     /** Commit one batch as an undo-logged durable transaction. */
     void
-    commitEpoch(Env &env, int shard) override
+    commitEpoch(Env &env) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
-        if (sh.pending.empty())
+        auto &pl = pipeline();
+        if (pending_.empty())
             return;
         const std::uint64_t epoch = pl.openEpoch();
         obs::ShardObs *ob = pl.obs();
@@ -93,7 +85,7 @@ class WalBackend : public PersistencyBackend<Env>
             plan.push_back(PlanWrite{p, *p, v});
             *p = v;
         };
-        for (const PendingOp &op : sh.pending) {
+        for (const PendingOp &op : pending_) {
             const auto r = table().applyOpWith(
                 env, op.op == JOp::Put, op.key, op.value, planStore);
             if (r.claimedEmpty)
@@ -102,8 +94,7 @@ class WalBackend : public PersistencyBackend<Env>
         // The watermark advance joins the transaction -- on BOTH
         // superblock copies, check words restated so the pair stays
         // valid at every durable point.
-        for (ShardMeta *c :
-             {sh.meta, this->replicas_[std::size_t(shard)]}) {
+        for (ShardMeta *c : {this->meta_, this->replica_}) {
             planStore(&c->foldedEpoch, epoch);
             planStore(&c->flags, 0);
             planStore(&c->check, repair::shardMetaCheck(epoch, 0));
@@ -111,7 +102,7 @@ class WalBackend : public PersistencyBackend<Env>
         for (auto it = plan.rbegin(); it != plan.rend(); ++it)
             *(it->ptr) = it->old;
 
-        ep::WalTx<Env> tx(env, *sh.wal);
+        ep::WalTx<Env> tx(env, wal_);
         // Log only the first pre-image of each word: applyUndo()
         // replays the log forward, so a later duplicate would win and
         // restore an intra-batch intermediate value.
@@ -128,62 +119,58 @@ class WalBackend : public PersistencyBackend<Env>
             table().noteClaim();
         pl.commitEpoch();
         pl.syncDurable();
-        sh.pending.clear();
-        sh.delta.clear();
+        pending_.clear();
+        delta_.clear();
         env.onRegionCommit();
     }
 
-    void
-    recover(Env &env, int shard, RecoveryReport &rep) override
+    std::uint64_t
+    recover(Env &env, RecoveryReport &rep) override
     {
-        Shard &sh = shards_[std::size_t(shard)];
-        if (ep::applyUndo(env, *sh.wal)) {
+        if (ep::applyUndo(env, wal_)) {
             rep.walUndone = true;
             ++rep.batchesDiscarded;
         }
         // The undo pass has restored any torn transaction, so the
         // superblock pair is back at a transaction boundary; an
         // invalid check word now is a media fault.
-        const auto ms = this->auditMeta(env, shard, &rep);
-        sh.pending.clear();
-        sh.delta.clear();
+        const auto ms = this->auditMeta(env, &rep);
+        pending_.clear();
+        delta_.clear();
         if (!ms.ok) {
-            pipeline(shard).rebase(0);
-            rep.committedEpochs[std::size_t(shard)] = 0;
-            return;
+            pipeline().rebase(0);
+            return 0;
         }
         const std::uint64_t committed = ms.epoch;
-        this->persistMeta(env, shard, committed, 0);
+        this->persistMeta(env, committed, 0);
         env.sfence();
-        pipeline(shard).rebase(committed);
-        rep.committedEpochs[std::size_t(shard)] = committed;
+        pipeline().rebase(committed);
+        return committed;
     }
 
     /** No armed (sealed-but-uncommitted) transaction may survive. */
     bool
-    verify(Env &env, int shard) override
+    verify(Env &env) override
     {
         (void)env;
-        return !shards_[std::size_t(shard)].wal->interrupted();
+        return !wal_.interrupted();
     }
 
     std::optional<DeltaVal>
-    staged(Env &env, int shard, std::uint64_t key) override
+    staged(Env &env, std::uint64_t key) override
     {
-        const Shard &sh = shards_[std::size_t(shard)];
-        const auto it = sh.delta.find(key);
-        if (it == sh.delta.end())
+        const auto it = delta_.find(key);
+        if (it == delta_.end())
             return std::nullopt;
         env.tick(4);
         return it->second;
     }
 
     void
-    mergeStaged(int shard,
-                std::map<std::uint64_t, std::uint64_t> &out)
+    mergeStaged(std::map<std::uint64_t, std::uint64_t> &out)
         const override
     {
-        for (const auto &[k, dv] : shards_[std::size_t(shard)].delta) {
+        for (const auto &[k, dv] : delta_) {
             if (dv.isPut)
                 out[k] = dv.value;
             else
@@ -199,19 +186,13 @@ class WalBackend : public PersistencyBackend<Env>
         std::uint64_t value;
     };
 
-    struct Shard
-    {
-        ShardMeta *meta = nullptr;
-        std::unique_ptr<ep::WalArea> wal;
+    ep::WalArea wal_;
 
-        /** This batch's ops, in arrival order (for the plan phase). */
-        std::vector<PendingOp> pending;
+    /** This batch's ops, in arrival order (for the plan phase). */
+    std::vector<PendingOp> pending_;
 
-        /** Coalesced last op per key in the open batch. */
-        std::unordered_map<std::uint64_t, DeltaVal> delta;
-    };
-
-    std::vector<Shard> shards_;
+    /** Coalesced last op per key in the open batch. */
+    std::unordered_map<std::uint64_t, DeltaVal> delta_;
 };
 
 } // namespace lp::store

@@ -39,7 +39,7 @@ void
 attachFlightSink(KvStore<Env> &store, obs::FlightRing &flight)
 {
     for (int s = 0; s < store.config().shards; ++s)
-        if (obs::TraceRing *r = store.shardObs(s).ring)
+        if (obs::TraceRing *r = store.shard(s).obs().ring)
             r->attachSink(&flight);
 }
 
@@ -66,7 +66,7 @@ sumPipelineCounters(const KvStore<Env> &store)
     engine::PipelineCounters sum;
     for (int s = 0; s < store.config().shards; ++s) {
         const engine::PipelineCounters &c =
-            store.pipeline(s).counters();
+            store.shard(s).pipeline().counters();
         sum.opsStaged += c.opsStaged;
         sum.epochsCommitted += c.epochsCommitted;
         sum.folds += c.folds;
@@ -167,11 +167,12 @@ runStoreNative(Backend b, const StoreConfig &scfg, const YcsbParams &p,
 
     obs::Histogram stage, commit, fold, scan, scanLen;
     for (int s = 0; s < scfg.shards; ++s) {
-        stage.merge(store.shardObs(s).stageNs);
-        commit.merge(store.shardObs(s).commitNs);
-        fold.merge(store.shardObs(s).foldNs);
-        scan.merge(store.shardObs(s).scanNs);
-        scanLen.merge(store.shardObs(s).scanLen);
+        const obs::ShardObs &ob = store.shard(s).obs();
+        stage.merge(ob.stageNs);
+        commit.merge(ob.commitNs);
+        fold.merge(ob.foldNs);
+        scan.merge(ob.scanNs);
+        scanLen.merge(ob.scanLen);
     }
     out.stageLat = stage.summary();
     out.commitLat = commit.summary();
@@ -286,7 +287,7 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
         ctx.sched.clear();
         ctx.machine.loseVolatileState();
         ctx.arena.crashRestore();
-        obs::traceInstant(store.shardObs(0).ring, "crash",
+        obs::traceInstant(store.shard(0).obs().ring, "crash",
                           spec.point);
         // Torn-write injection: the dying device shredded a partial
         // page at the end of shard 0's sealed journal prefix.
@@ -294,7 +295,7 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
         // the affected epochs; the committed-prefix checks below
         // hold either way because they trust the recovery report.
         if (spec.tornBytes > 0) {
-            const FaultSurface fs = store.faultSurface(0);
+            const FaultSurface fs = store.shard(0).faultSurface();
             if (fs.journal != nullptr && fs.sealedBytes > 0) {
                 pmem::FaultInjector inj(ctx.arena);
                 const std::size_t n =
@@ -476,7 +477,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     out.viaScrub = site == FaultSite::ParityPage;
 
     pmem::FaultInjector inj(ctx.arena);
-    const FaultSurface fs = store.faultSurface(0);
+    const FaultSurface fs = store.shard(0).faultSurface();
     const std::size_t coveredBytes =
         fs.sealedBytes / repair::regionBytes * repair::regionBytes;
     switch (site) {
@@ -539,7 +540,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
         // The journal still validates, so recovery would
         // never look at the parity blocks; the online scrub is what
         // finds and rewrites them. Walk one full pass.
-        while (store.scrubStep(env, 0, 64) > 0) {
+        while (store.shard(0).scrubStep(env, 64) > 0) {
         }
     } else {
         // Restart: volatile state dies, recovery sees the durable
@@ -551,12 +552,13 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     }
 
     for (int s = 0; s < scfg.shards; ++s) {
-        const MediaCounters &mc = store.mediaCounters(s);
+        const Shard<SimEnv> &sh = store.shard(s);
+        const MediaCounters &mc = sh.mediaCounters();
         out.mediaRepaired +=
             mc.repaired.load(std::memory_order_relaxed);
         out.mediaUnrepairable +=
             mc.unrepairable.load(std::memory_order_relaxed);
-        out.quarantined = out.quarantined || store.quarantined(s);
+        out.quarantined = out.quarantined || sh.quarantined();
     }
 
     // Golden comparison. LP gates data on committed epochs (after a

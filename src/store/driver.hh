@@ -73,7 +73,7 @@ ycsbMix(Env &env, KvStore<Env> &store, const YcsbParams &p,
     for (std::size_t i = 0; i < p.ops; ++i) {
         if (p.scrubEveryOps > 0 && i > 0 &&
             i % p.scrubEveryOps == 0) {
-            store.scrubStep(env, scrubShard, p.scrubRegions);
+            store.shard(scrubShard).scrubStep(env, p.scrubRegions);
             scrubShard = (scrubShard + 1) % store.config().shards;
         }
         const auto op = stream.next();
@@ -168,9 +168,9 @@ attachStoreTrace(KvStore<Env> &store, obs::TraceCollector *tc,
     if (tc == nullptr)
         return;
     for (int s = 0; s < store.config().shards; ++s)
-        store.attachTraceRing(
-            s, tc->ring("shard-" + std::to_string(s),
-                        std::uint32_t(s), ringCapacity));
+        store.shard(s).attachTraceRing(
+            tc->ring("shard-" + std::to_string(s), std::uint32_t(s),
+                     ringCapacity));
 }
 
 /**

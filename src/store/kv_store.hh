@@ -9,17 +9,21 @@
  *  - journal.hh    -- per-shard batch journal (append/seal/replay)
  *  - backend_*.hh  -- the three persistency policies (Lazy
  *                     Persistency, eager per-op, WAL) behind the
- *                     PersistencyBackend interface of backend.hh
- *  - engine/commit_pipeline.hh -- per-shard epoch/batch/fold
- *                     scheduling, shared with lp::server
+ *                     PersistencyBackend interface of backend.hh;
+ *                     one instance per shard
+ *  - shard.hh      -- store::Shard, everything one shard owns: its
+ *                     backend, engine::CommitPipeline (epoch/batch/
+ *                     fold scheduling, shared with lp::server),
+ *                     observability bundle and ordered index
  *
  * Keys are partitioned across shards; each shard owns its own epoch
- * sequence (a CommitPipeline) and whatever persistent structures its
- * backend needs. All shards share one open-addressing persistent
- * table. The KvStore routes, enforces the single-writer-per-shard
- * contract, and delegates durability entirely to the backend; the
- * full persistency story lives in backend_lp.hh and
- * docs/engine_design.md.
+ * sequence and whatever persistent structures its backend needs. All
+ * shards share one open-addressing persistent table. The KvStore
+ * owns that table and the shards, and adds only what spans shards:
+ * key routing, the ordered scan merge, and the store-wide loops
+ * (commit, checkpoint, recover, verify, mark clean, snapshot).
+ * Durability is entirely the backend's; the full persistency story
+ * lives in backend_lp.hh and docs/engine_design.md.
  *
  * All backends run the same probe and layout code and are templated
  * over Env: the identical source instantiates against SimEnv
@@ -41,19 +45,15 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "base/logging.hh"
 #include "engine/commit_pipeline.hh"
 #include "index/merge.hh"
-#include "index/ordered_index.hh"
-#include "obs/shard_obs.hh"
 #include "pmem/arena.hh"
-#include "store/backends.hh"
+#include "store/shard.hh"
 
 namespace lp::store
 {
@@ -67,225 +67,85 @@ template <typename Env>
 class KvStore
 {
   public:
-    static constexpr std::size_t npos = SlotTable<Env>::npos;
-
     /**
      * Construct over @p arena. With @p attach false (the default) all
      * persistent structures are formatted empty; the caller should
      * arena.persistAll() afterwards. With @p attach true, nothing is
      * initialized: the arena holds an existing durable image (a
      * re-mapped backing file after a process restart) and the
-     * allocation sequence -- which is deterministic in @p cfg and
-     * @p backend -- re-derives the same offsets the previous
-     * incarnation used. An attached store MUST recover() before any
-     * other call.
+     * allocation sequence -- the shared table, then each shard in
+     * shard order, deterministic in @p cfg and @p backend --
+     * re-derives the same offsets the previous incarnation used. An
+     * attached store MUST recover() before any other call.
      */
     KvStore(pmem::PersistentArena &arena, const StoreConfig &cfg,
             Backend backend, bool attach = false)
-        : cfg_(cfg), backendKind_(backend),
-          table_(arena, cfg.capacity, attach)
+        : cfg_(cfg), table_(arena, cfg.capacity, attach)
     {
         LP_ASSERT(cfg.shards >= 1, "need at least one shard");
         LP_ASSERT(cfg.batchOps >= 1,
                   "need at least one op per batch");
         LP_ASSERT(cfg.foldBatches >= 1,
                   "need at least one batch per fold");
-        pipelines_.reserve(std::size_t(cfg.shards));
         for (int i = 0; i < cfg.shards; ++i)
-            pipelines_.emplace_back(commitPolicyFor(backend, cfg));
-        // Per-shard observability bundles (deque: histograms are
-        // fixed-size non-copyable blocks that must never relocate).
-        for (int i = 0; i < cfg.shards; ++i) {
-            obs_.emplace_back();
-            pipelines_[std::size_t(i)].attachObs(
-                &obs_[std::size_t(i)]);
-        }
-        owners_.resize(std::size_t(cfg.shards));
-        // Per-shard ordered indexes (deque for the same stable-address
-        // reason as obs_: OrderedIndex is non-copyable). On attach the
-        // indexes start empty; recover() rebuilds them from the
-        // recovered table.
-        for (int i = 0; i < cfg.shards; ++i)
-            index_.emplace_back();
-        const StoreContext<Env> ctx{&arena, &cfg_, &table_,
-                                    &pipelines_};
-        backend_ = makeBackend<Env>(backend, ctx, attach);
+            shards_.emplace_back(arena, cfg_, table_, backend, i,
+                                 attach);
     }
 
     KvStore(const KvStore &) = delete;
     KvStore &operator=(const KvStore &) = delete;
 
-    Backend backend() const { return backendKind_; }
     const StoreConfig &config() const { return cfg_; }
-    std::size_t tableSlots() const { return table_.slotCount(); }
-    int shardOf(std::uint64_t key) const { return shardIndex(key); }
-
-    /** One shard's commit scheduling state (and stat counters). */
-    engine::CommitPipeline &
-    pipeline(int shard)
+    int shardOf(std::uint64_t key) const
     {
-        return pipelines_[std::size_t(shard)];
+        return shardOfKey(key, cfg_.shards);
     }
 
-    const engine::CommitPipeline &
-    pipeline(int shard) const
+    /** Shard @p i (0 <= i < config().shards). */
+    Shard<Env> &shard(int i) { return shards_[std::size_t(i)]; }
+    const Shard<Env> &shard(int i) const
     {
-        return pipelines_[std::size_t(shard)];
+        return shards_[std::size_t(i)];
     }
 
-    /**
-     * One shard's latency histograms (always recording) and trace
-     * ring. Histograms follow the obs::Histogram concurrency
-     * contract: any thread may read them while the shard's owner
-     * records (the server's acceptor does, for METRICS).
-     */
-    obs::ShardObs &
-    shardObs(int shard)
+    /** Shard @p i's commit pipeline: shorthand for
+     *  shard(i).pipeline(), which lpbench_gen reads its counters by. */
+    const engine::CommitPipeline &pipeline(int i) const
     {
-        return obs_[std::size_t(shard)];
-    }
-
-    const obs::ShardObs &
-    shardObs(int shard) const
-    {
-        return obs_[std::size_t(shard)];
+        return shard(i).pipeline();
     }
 
     /**
-     * Route shard @p shard's trace spans (epoch commits, folds,
-     * recovery) to @p ring; null detaches. The ring must outlive
-     * this store.
-     */
-    void
-    attachTraceRing(int shard, obs::TraceRing *ring)
-    {
-        obs_[std::size_t(shard)].ring = ring;
-    }
-
-    /** Durable (shadow) epoch watermark of one shard. */
-    std::uint64_t
-    durableEpoch(int shard) const
-    {
-        return backend_->durableEpoch(shard);
-    }
-
-    /** Volatile epoch watermark (last committed batch) of one shard. */
-    std::uint64_t
-    committedEpoch(int shard) const
-    {
-        return pipelines_[std::size_t(shard)].lastCommitted();
-    }
-
-    /** One shard's cumulative media-fault counters (any thread). */
-    const MediaCounters &
-    mediaCounters(int shard) const
-    {
-        return backend_->mediaCounters(shard);
-    }
-
-    /**
-     * True when the shard hit provable-but-unrepairable corruption
-     * and must not be mutated; reads stay safe (nothing invalid was
-     * ever applied to the table). The server maps this to read-only
-     * Fault replies (docs/repair_design.md).
-     */
-    bool
-    quarantined(int shard) const
-    {
-        return backend_->quarantined(shard);
-    }
-
-    /** Where one shard's media-protected structures live (testing). */
-    FaultSurface
-    faultSurface(int shard) const
-    {
-        return backend_->faultSurface(shard);
-    }
-
-    /**
-     * One online-scrub step of @p shard: validate up to
-     * @p maxRegions protected regions, repairing from parity where
-     * the fingerprints prove it. Owner-thread only (it may write);
-     * cheap enough for an idle loop. Returns regions examined.
-     */
-    std::size_t
-    scrubStep(Env &env, int shard, std::size_t maxRegions)
-    {
-        checkShardOwner(shard);
-        obs::ShardObs &ob = obs_[std::size_t(shard)];
-        obs::Span span(ob.ring, "scrub", std::uint64_t(shard));
-        obs::ScopedTimer timer(ob.scrubNs);
-        return backend_->scrub(env, shard, maxRegions);
-    }
-
-    /**
-     * Durably mark every non-quarantined shard cleanly shut down.
-     * Call ONLY after checkpoint() (or commitBatches() +
-     * persistAll() on a simulated arena) so the claim is true: the
-     * flag switches the next recovery into strict mode, where a
-     * validation failure is a media fault rather than a crash tear.
-     */
-    void
-    markClean(Env &env)
-    {
-        for (int s = 0; s < cfg_.shards; ++s) {
-            if (backend_->quarantined(s))
-                continue;
-            checkShardOwner(s);
-            backend_->markClean(env, s);
-        }
-    }
-
-    /**
-     * Insert or update @p key. Returns the epoch (batch) the op
-     * landed in, which drivers use to tag ops for committed-replay
-     * verification; under the eager backend every op is its own
-     * epoch, so this doubles as a per-shard op sequence number.
-     * @p traceId (when nonzero) attributes the op to a request
-     * trace: it becomes the stage-latency exemplar and flows into
-     * the epoch-commit span of the epoch that makes the op durable.
+     * Insert or update @p key in its shard; returns the op's epoch
+     * (Shard::stage). @p traceId attributes the op to a request trace.
      */
     std::uint64_t
     put(Env &env, std::uint64_t key, std::uint64_t value,
         std::uint64_t traceId = 0)
     {
-        return mutate(env, JOp::Put, key, value, traceId);
+        return route(key).stage(env, JOp::Put, key, value, traceId);
     }
 
     /** Delete @p key (a no-op if absent); returns the op's epoch. */
     std::uint64_t
     del(Env &env, std::uint64_t key, std::uint64_t traceId = 0)
     {
-        return mutate(env, JOp::Del, key, 0, traceId);
+        return route(key).stage(env, JOp::Del, key, 0, traceId);
     }
 
     /** Read @p key, observing this handle's own uncommitted writes. */
     std::optional<std::uint64_t>
     get(Env &env, std::uint64_t key)
     {
-        LP_ASSERT(key <= maxUserKey, "key in reserved sentinel range");
-        const int sh = shardIndex(key);
-        checkShardOwner(sh);
-        // Batched backends keep unfolded/unapplied ops out of the
-        // table; the staged lookup provides read-your-writes over
-        // them (and is a free no-op for the eager backend).
-        if (const auto d = backend_->staged(env, sh, key)) {
-            if (!d->isPut)
-                return std::nullopt;
-            return d->value;
-        }
-        const std::size_t i = table_.probeFind(env, key);
-        if (i == npos)
-            return std::nullopt;
-        return env.ld(&table_.slot(i).value);
+        return route(key).get(env, key);
     }
 
     /**
      * Ordered range read: up to @p limit records with key >= @p start,
      * ascending, merged across every shard's ordered index. Values
-     * come from the index, which mutate() keeps at the latest staged
-     * value of every live key, so a scan observes exactly the state
-     * point reads observe -- staged (unfolded) puts and deletes
+     * come from the index, which Shard::stage keeps at the latest
+     * staged value of every live key, so a scan observes exactly the
+     * state point reads observe -- staged (unfolded) puts and deletes
      * included -- without a table probe per record. Crash consistency
      * still comes entirely from the journal checksums: recover()
      * rebuilds the index from the validated table. Whole-scan
@@ -313,40 +173,24 @@ class KvStore
     std::size_t
     scan(Env &, std::uint64_t start, std::size_t limit, Emit &&emit)
     {
-        obs::ScopedTimer timer(obs_[0].scanNs);
+        obs::ShardObs &ob = shards_.front().obs();
+        obs::ScopedTimer timer(ob.scanNs);
         std::vector<index::OrderedIndex::Cursor> cur;
-        cur.reserve(std::size_t(cfg_.shards));
-        for (int s = 0; s < cfg_.shards; ++s)
-            cur.push_back(index_[std::size_t(s)].lowerBound(start));
+        cur.reserve(shards_.size());
+        for (const Shard<Env> &sh : shards_)
+            cur.push_back(sh.lowerBound(start));
         const std::size_t n =
             index::mergeAscending(cur.data(), cur.size(), limit, emit);
-        obs_[0].scanLen.record(n);
+        ob.scanLen.record(n);
         return n;
-    }
-
-    /** Live keys in one shard's ordered index (any thread). */
-    std::uint64_t
-    indexEntries(int shard) const
-    {
-        return index_[std::size_t(shard)].entries();
-    }
-
-    /** Resident bytes of one shard's ordered index (any thread). */
-    std::uint64_t
-    indexBytes(int shard) const
-    {
-        return index_[std::size_t(shard)].residentBytes();
     }
 
     /** Close and commit every shard's open batch (partial batches). */
     void
     commitBatches(Env &env)
     {
-        for (int s = 0; s < cfg_.shards; ++s) {
-            backend_->commitEpoch(env, s);
-            if (pipelines_[std::size_t(s)].foldDue())
-                backend_->fold(env, s);
-        }
+        for (Shard<Env> &sh : shards_)
+            sh.commit(env);
     }
 
     /**
@@ -358,13 +202,22 @@ class KvStore
     checkpoint(Env &env)
     {
         commitBatches(env);
-        for (int s = 0; s < cfg_.shards; ++s) {
-            backend_->fold(env, s);
-            // A checkpoint is a quiesce point for this handle (the
-            // owner is here, not mid-scan), so retired index nodes
-            // can finally be freed.
-            index_[std::size_t(s)].reclaim();
-        }
+        for (Shard<Env> &sh : shards_)
+            sh.fold(env);
+    }
+
+    /**
+     * Durably mark every non-quarantined shard cleanly shut down.
+     * Call ONLY after checkpoint() (or commitBatches() +
+     * persistAll() on a simulated arena) so the claim is true: the
+     * flag switches the next recovery into strict mode, where a
+     * validation failure is a media fault rather than a crash tear.
+     */
+    void
+    markClean(Env &env)
+    {
+        for (Shard<Env> &sh : shards_)
+            sh.markClean(env);
     }
 
     /**
@@ -378,15 +231,9 @@ class KvStore
     recover(Env &env)
     {
         RecoveryReport rep;
-        rep.committedEpochs.assign(std::size_t(cfg_.shards), 0);
-        for (int s = 0; s < cfg_.shards; ++s) {
-            rebindShardOwner(s);
-            obs::ShardObs &ob = obs_[std::size_t(s)];
-            obs::Span span(ob.ring, "recover_shard",
-                           std::uint64_t(s));
-            obs::ScopedTimer timer(ob.recoverNs);
-            backend_->recover(env, s, rep);
-        }
+        rep.committedEpochs.reserve(shards_.size());
+        for (Shard<Env> &sh : shards_)
+            rep.committedEpochs.push_back(sh.recover(env, rep));
         table_.resyncUsed();
         // Rebuild the ordered indexes from the recovered table. The
         // table now holds exactly the checksum-validated committed
@@ -394,28 +241,23 @@ class KvStore
         // rebuilt index agrees with point-GET recovery by
         // construction. Host-side walk, like snapshot(): recovery
         // already paid its simulated cost in the backend replay.
-        for (int s = 0; s < cfg_.shards; ++s)
-            index_[std::size_t(s)].clear();
         for (std::size_t i = 0; i < table_.slotCount(); ++i) {
             const KvSlot &slot = table_.slot(i);
             if (slot.key <= maxUserKey)
-                index_[std::size_t(shardIndex(slot.key))].insert(
-                    slot.key, slot.value);
+                route(slot.key).reindex(slot.key, slot.value);
         }
         return rep;
     }
 
     /**
-     * Audit the backend's durability invariants (committed LP digests
-     * still validate, no armed WAL transaction). A test/debug aid: it
-     * reads through the Env, so it perturbs simulated caches like any
-     * other access; do not call inside a measured phase.
+     * Audit every shard's durability invariants (Shard::verify). A
+     * test/debug aid: do not call inside a measured phase.
      */
     bool
     verify(Env &env)
     {
-        for (int s = 0; s < cfg_.shards; ++s)
-            if (!backend_->verify(env, s))
+        for (Shard<Env> &sh : shards_)
+            if (!sh.verify(env))
                 return false;
         return true;
     }
@@ -433,8 +275,8 @@ class KvStore
             if (s.key <= maxUserKey)
                 out[s.key] = s.value;
         }
-        for (int s = 0; s < cfg_.shards; ++s)
-            backend_->mergeStaged(s, out);
+        for (const Shard<Env> &sh : shards_)
+            sh.mergeStaged(out);
         return out;
     }
 
@@ -442,92 +284,11 @@ class KvStore
     std::size_t liveKeys() const { return snapshot().size(); }
 
   private:
-    int
-    shardIndex(std::uint64_t key) const
-    {
-        return shardOfKey(key, cfg_.shards);
-    }
-
-    /**
-     * Enforce (debug builds) the single-writer-per-shard contract
-     * documented in src/kernels/env.hh: every access to a shard must
-     * come from the one thread that owns it. Binding is lazy -- the
-     * first toucher owns the shard -- so single-threaded callers are
-     * unaffected and a service binds each shard to its worker thread
-     * on the worker's first operation.
-     */
-    void
-    checkShardOwner(int shard)
-    {
-#ifndef NDEBUG
-        const std::thread::id self = std::this_thread::get_id();
-        std::thread::id &owner = owners_[std::size_t(shard)];
-        if (owner == std::thread::id{})
-            owner = self;
-        LP_ASSERT(owner == self,
-                  "lp::store single-writer-per-shard contract violated:"
-                  " shard " + std::to_string(shard) +
-                  " accessed by a second thread (see the concurrency "
-                  "contract in src/kernels/env.hh)");
-#else
-        (void)shard;
-#endif
-    }
-
-    /** Recovery hands the shard to whichever thread recovered it. */
-    void
-    rebindShardOwner(int shard)
-    {
-#ifndef NDEBUG
-        owners_[std::size_t(shard)] = std::this_thread::get_id();
-#else
-        (void)shard;
-#endif
-    }
-
-    std::uint64_t
-    mutate(Env &env, JOp op, std::uint64_t key, std::uint64_t value,
-           std::uint64_t traceId)
-    {
-        LP_ASSERT(key <= maxUserKey, "key in reserved sentinel range");
-        const int sh = shardIndex(key);
-        checkShardOwner(sh);
-        // Attribute the request to the open epoch BEFORE staging:
-        // stage() may close the epoch (batch full), and the backend's
-        // epoch-commit span wants this op's trace id as its flow id.
-        pipelines_[std::size_t(sh)].noteTrace(traceId);
-        // Per-mutation latency: includes any epoch commit or fold
-        // stage() triggers, so the histogram tail is exactly the
-        // fold-pause story the paper's Figure 10 argues about. Timed
-        // explicitly (not ScopedTimer) so the same sample can feed
-        // the stage-latency exemplar for this request's trace.
-        const std::uint64_t t0 = obs::nowNs();
-        const std::uint64_t epoch =
-            backend_->stage(env, sh, op, key, value);
-        const std::uint64_t dt = obs::nowNs() - t0;
-        obs_[std::size_t(sh)].stageNs.record(dt);
-        if (traceId)
-            obs_[std::size_t(sh)].stageNs.recordExemplar(dt, traceId);
-        // Mirror the mutation into the shard's ordered index AFTER it
-        // is staged (a simulated crash inside stage() aborts before
-        // the index update; recover() rebuilds it regardless). The
-        // index holds the staged value and erases on delete, so scans
-        // stay in lockstep with get()'s staged visibility.
-        if (op == JOp::Put)
-            index_[std::size_t(sh)].insert(key, value);
-        else
-            index_[std::size_t(sh)].erase(key);
-        return epoch;
-    }
+    Shard<Env> &route(std::uint64_t key) { return shard(shardOf(key)); }
 
     StoreConfig cfg_;
-    Backend backendKind_;
     SlotTable<Env> table_;
-    std::vector<engine::CommitPipeline> pipelines_;
-    std::deque<obs::ShardObs> obs_;  // stable addresses (attached)
-    std::deque<index::OrderedIndex> index_;  // per-shard, volatile
-    std::unique_ptr<PersistencyBackend<Env>> backend_;
-    std::vector<std::thread::id> owners_;  // debug owner binding
+    std::deque<Shard<Env>> shards_;  // stable addresses (non-movable)
 };
 
 } // namespace lp::store

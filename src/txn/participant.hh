@@ -270,7 +270,7 @@ class Participant
     commitFast(Env &env, const std::vector<WriteOp> &ws,
                OnWrite &&onWrite)
     {
-        const engine::CommitPipeline &pl = kv_.pipeline(shard_);
+        const engine::CommitPipeline &pl = kv_.shard(shard_).pipeline();
         if (pl.stagedOps() > 0 &&
             pl.stagedOps() + ws.size() >
                 std::size_t(kv_.config().batchOps))
@@ -348,7 +348,7 @@ class Participant
     sweepFrees(Env &env)
     {
         std::erase_if(*frees_, [&](const SlotFree &f) {
-            if (kv_.pipeline(f.shard).foldedEpoch() < f.epoch)
+            if (kv_.shard(f.shard).pipeline().foldedEpoch() < f.epoch)
                 return false;
             f.log->free(env, f.slot);
             return true;

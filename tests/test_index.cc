@@ -318,7 +318,7 @@ TEST_P(ScanBackends, ScanSeesStagedMutationsLikeGet)
     const std::uint64_t foldsBefore = [&] {
         std::uint64_t f = 0;
         for (int s = 0; s < scfg.shards; ++s)
-            f += store.pipeline(s).counters().folds;
+            f += store.shard(s).pipeline().counters().folds;
         return f;
     }();
     std::mt19937_64 rng(29);
@@ -337,7 +337,7 @@ TEST_P(ScanBackends, ScanSeesStagedMutationsLikeGet)
     }
     std::uint64_t foldsAfter = 0;
     for (int s = 0; s < scfg.shards; ++s)
-        foldsAfter += store.pipeline(s).counters().folds;
+        foldsAfter += store.shard(s).pipeline().counters().folds;
     if (GetParam() == Backend::Lp) {
         EXPECT_GT(foldsAfter, foldsBefore) << "no fold ran";
     }
@@ -376,8 +376,8 @@ TEST_P(ScanBackends, RecoveryRebuildAgreesWithPointGets)
 
     std::uint64_t entries = 0;
     for (int s = 0; s < scfg.shards; ++s) {
-        entries += store.indexEntries(s);
-        EXPECT_GT(store.indexBytes(s), 0u);
+        entries += store.shard(s).indexEntries();
+        EXPECT_GT(store.shard(s).indexBytes(), 0u);
     }
     EXPECT_EQ(entries, after.size());
     for (const auto &[k, v] : after)

@@ -89,7 +89,7 @@ TEST_P(ServerTxnBackends, CommitsAndReadsOverTheWire)
     Client c;
     connectToServer(c, dir);
 
-    // Keys 1..8 land on several shards (routeShard hashes), so this
+    // Keys 1..8 land on several shards (store::shardOfKey hashes), so this
     // exercises both commit paths across the backends.
     auto res = c.txn({top(TxnOp::Kind::Get, 1),
                       top(TxnOp::Kind::Put, 1, 10),

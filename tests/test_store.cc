@@ -5,7 +5,8 @@
  * checkpoint, the SimEnv/NativeEnv identical-code guarantee, clean
  * recovery after a checkpoint, the journal's digest check on a bare
  * BatchJournal, recovery idempotence (including a crash injected
- * *during* recovery), the YCSB generators, the deterministic
+ * *during* recovery), the YCSB generators, the pinned arena
+ * allocation offsets attach mode relies on, the deterministic
  * simulator cost of lpbench's simulated phase, and the table
  * occupancy guard.
  */
@@ -260,7 +261,7 @@ TEST(StoreRecovery, DigestRejectsRecordsParityCannotRestore)
     // Entry 1 (bytes 24-47) and entry 4 (96-119) are records of
     // epoch 1; their value words sit in regions 0 and 1.
     pmem::FaultInjector inj(ctx.arena);
-    const FaultSurface fs = store.faultSurface(0);
+    const FaultSurface fs = store.shard(0).faultSurface();
     inj.flipBitAt(fs.journal, 1 * sizeof(JEntry) + 16, 2);
     inj.flipBitAt(fs.journal, 4 * sizeof(JEntry) + 16, 2);
 
@@ -430,6 +431,63 @@ TEST(StoreConfigTest, ParseBackendRoundTrips)
 {
     for (Backend b : kBackends)
         EXPECT_EQ(parseBackend(backendName(b)), b);
+}
+
+/**
+ * Attach mode re-derives every persistent structure's offset by
+ * replaying the allocation sequence (docs/engine_design.md,
+ * "Allocation-order determinism"), so an existing shard file attaches
+ * only if that sequence never changes. Pin it: per shard, the arena
+ * offsets of the superblock pair, journal, parity blocks, region
+ * fingerprints and parity header (0 where the backend has none), for
+ * every backend at 1 and 4 shards.
+ */
+TEST(StoreLayout, AllocationOffsetsArePinned)
+{
+    struct Expect
+    {
+        Backend backend;
+        int shards;
+        std::vector<std::uint64_t> offsets;  // 6 per shard
+    };
+    const Expect cases[] = {
+        {Backend::Lp, 1,
+          {32832, 32896, 32960, 35456, 35136, 35776}},
+        {Backend::Lp, 4,
+          {32832, 32896, 32960, 35456, 35136, 35776,
+           35840, 35904, 35968, 38464, 38144, 38784,
+           38848, 38912, 38976, 41472, 41152, 41792,
+           41856, 41920, 41984, 44480, 44160, 44800}},
+        {Backend::EagerPerOp, 1,
+          {32832, 32896, 0, 0, 0, 0}},
+        {Backend::EagerPerOp, 4,
+          {32832, 32896, 0, 0, 0, 0, 32960, 33024, 0, 0, 0, 0,
+           33088, 33152, 0, 0, 0, 0, 33216, 33280, 0, 0, 0, 0}},
+        {Backend::Wal, 1,
+          {32832, 32896, 0, 0, 0, 0}},
+        {Backend::Wal, 4,
+          {32832, 32896, 0, 0, 0, 0, 33472, 33536, 0, 0, 0, 0,
+           34112, 34176, 0, 0, 0, 0, 34752, 34816, 0, 0, 0, 0}},
+    };
+    for (const Expect &c : cases) {
+        StoreConfig scfg = smallConfig();
+        scfg.shards = c.shards;
+        pmem::PersistentArena arena(storeArenaBytes(scfg));
+        KvStore<kernels::NativeEnv> store(arena, scfg, c.backend);
+        auto off = [&arena](const void *p) -> std::uint64_t {
+            return p ? arena.addrOf(p) : 0;
+        };
+        std::vector<std::uint64_t> got;
+        for (int s = 0; s < c.shards; ++s) {
+            const FaultSurface fs = store.shard(s).faultSurface();
+            for (const void *p :
+                 {fs.metaPrimary, fs.metaReplica, fs.journal, fs.parity,
+                  fs.parityHashes, fs.parityHeader})
+                got.push_back(off(p));
+        }
+        EXPECT_EQ(got, c.offsets)
+            << backendName(c.backend) << " shards=" << c.shards;
+    }
 }
 
 /**

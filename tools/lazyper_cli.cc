@@ -142,19 +142,21 @@ parseScheme(const std::string &s)
 }
 
 /**
- * The value of a count flag (--shards, --batch-ops, --fold-batches):
- * a base-10 int >= 1 that spans the whole string. Anything else is a
- * usage error (@p usage exits 2); atoi would read "0" and "abc"
- * alike as 0, which the store rejects by aborting.
+ * The value of a numeric flag (--shards, --port, --capacity, ...):
+ * a base-10 T in [@p min, @p max] that spans the whole string.
+ * Anything else is a usage error (@p usage exits 2); atoi/strtoull
+ * would read "abc" as 0 and wrap "70000" or "-1" into range.
  */
-int
+template <typename T = int>
+T
 parseCount(const std::string &s, void (*usage)(const char *),
-           const char *argv0)
+           const char *argv0, T min = 1,
+           T max = std::numeric_limits<T>::max())
 {
-    int v = 0;
+    T v{};
     const char *end = s.data() + s.size();
     const auto [at, ec] = std::from_chars(s.data(), end, v);
-    if (ec != std::errc{} || at != end || v < 1)
+    if (ec != std::errc{} || at != end || v < min || v > max)
         usage(argv0);
     return v;
 }
@@ -248,14 +250,14 @@ runServeCommand(int argc, char **argv)
         } else if (arg == "--host") {
             cfg.host = next();
         } else if (arg == "--port") {
-            cfg.port = std::atoi(next().c_str());
+            cfg.port = parseCount(next(), serveUsage, argv[0], 0, 65535);
         } else if (arg == "--shards") {
             cfg.shards = parseCount(next(), serveUsage, argv[0]);
         } else if (arg == "--backend") {
             cfg.backend = store::parseBackend(next());
         } else if (arg == "--capacity") {
             cfg.capacityPerShard =
-                std::strtoull(next().c_str(), nullptr, 10);
+                parseCount<std::size_t>(next(), serveUsage, argv[0]);
         } else if (arg == "--batch-ops") {
             cfg.batchOps = parseCount(next(), serveUsage, argv[0]);
         } else if (arg == "--fold-batches") {
@@ -264,14 +266,14 @@ runServeCommand(int argc, char **argv)
             cfg.checksum = parseChecksum(next());
         } else if (arg == "--max-inflight") {
             cfg.maxInflightPerConn =
-                std::uint32_t(std::atoi(next().c_str()));
+                parseCount<std::uint32_t>(next(), serveUsage, argv[0]);
         } else if (arg == "--max-conns") {
-            cfg.maxConns = std::atoi(next().c_str());
+            cfg.maxConns = parseCount(next(), serveUsage, argv[0]);
         } else if (arg == "--trace-out") {
             cfg.traceOut = next();
         } else if (arg == "--flight-events") {
-            cfg.flightEvents =
-                std::uint32_t(std::atoi(next().c_str()));
+            cfg.flightEvents = parseCount<std::uint32_t>(
+                next(), serveUsage, argv[0], 0);
         } else if (arg == "--quiet") {
             cfg.quiet = true;
         } else {
@@ -309,9 +311,9 @@ runStoreCommand(int argc, char **argv)
         if (arg == "--backend") {
             backend = parseBackend(next());
         } else if (arg == "--records") {
-            p.records = std::strtoull(next().c_str(), nullptr, 10);
+            p.records = parseCount<std::size_t>(next(), storeUsage, argv[0]);
         } else if (arg == "--ops") {
-            p.ops = std::strtoull(next().c_str(), nullptr, 10);
+            p.ops = parseCount<std::size_t>(next(), storeUsage, argv[0]);
         } else if (arg == "--mix") {
             p.mix = parseMix(next());
         } else if (arg == "--uniform") {
@@ -325,7 +327,8 @@ runStoreCommand(int argc, char **argv)
         } else if (arg == "--fold-batches") {
             scfg.foldBatches = parseCount(next(), storeUsage, argv[0]);
         } else if (arg == "--capacity") {
-            scfg.capacity = std::strtoull(next().c_str(), nullptr, 10);
+            scfg.capacity =
+                parseCount<std::size_t>(next(), storeUsage, argv[0]);
         } else if (arg == "--checksum") {
             scfg.checksum = parseChecksum(next());
         } else if (arg == "--seed") {
@@ -779,7 +782,7 @@ runInjectCommand(int argc, char **argv)
         if (arg == "--data-dir") {
             dataDir = next();
         } else if (arg == "--shard") {
-            shard = std::atoi(next().c_str());
+            shard = parseCount(next(), injectUsage, argv[0], 0);
         } else if (arg == "--site") {
             site = next();
         } else if (arg == "--offset") {
@@ -793,7 +796,8 @@ runInjectCommand(int argc, char **argv)
         } else if (arg == "--backend") {
             backend = parseBackend(next());
         } else if (arg == "--capacity") {
-            scfg.capacity = std::strtoull(next().c_str(), nullptr, 10);
+            scfg.capacity =
+                parseCount<std::size_t>(next(), injectUsage, argv[0]);
         } else if (arg == "--batch-ops") {
             scfg.batchOps = parseCount(next(), injectUsage, argv[0]);
         } else if (arg == "--fold-batches") {
@@ -801,10 +805,11 @@ runInjectCommand(int argc, char **argv)
         } else if (arg == "--checksum") {
             scfg.checksum = parseChecksum(next());
         } else if (arg == "--flight-events") {
-            flightEvents = std::uint32_t(std::atoi(next().c_str()));
+            flightEvents = parseCount<std::uint32_t>(
+                next(), injectUsage, argv[0], 0);
         } else if (arg == "--prepare-slots") {
             prepareSlots =
-                std::strtoull(next().c_str(), nullptr, 10);
+                parseCount<std::size_t>(next(), injectUsage, argv[0]);
         } else {
             injectUsage(argv[0]);
         }
@@ -836,7 +841,7 @@ runInjectCommand(int argc, char **argv)
         arena.allocRaw(obs::FlightRing::bytesFor(flightEvents));
     store::KvStore<kernels::NativeEnv> kv(arena, scfg, backend,
                                           /*attach=*/true);
-    const FaultSurface fs = kv.faultSurface(0);
+    const FaultSurface fs = kv.shard(0).faultSurface();
 
     const void *base = nullptr;
     std::size_t limit = 0;
